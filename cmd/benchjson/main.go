@@ -185,18 +185,21 @@ func locateParallel(rt serveLocator, keys []string) func(b *testing.B) {
 	}
 }
 
+// parallelWorker numbers placeRemoveParallel's goroutines. It is
+// package-wide because testing.Benchmark re-invokes a benchmark with
+// growing b.N against the SAME router, and the procs=1 and procs=N
+// records share one router too: a goroutine may end its run with a key
+// still placed, so key ranges must be unique across all of them.
+var parallelWorker atomic.Int64
+
 // placeRemoveParallel builds the parallel write benchmark: each
 // goroutine cycles Place/Remove over its own key range so writes never
-// collide. The worker counter lives in the builder scope because
-// testing.Benchmark re-invokes the function with growing b.N against
-// the SAME router — a goroutine may end its run with a key still
-// placed, so key ranges must be unique across invocations too.
+// collide.
 func placeRemoveParallel(rt serveLocator) func(b *testing.B) {
-	var worker atomic.Int64
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
-			w := worker.Add(1)
+			w := parallelWorker.Add(1)
 			own := make([]string, 256)
 			for i := range own {
 				own[i] = fmt.Sprintf("pw%d-%d", w, i)

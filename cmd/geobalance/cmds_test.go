@@ -301,12 +301,13 @@ func TestCmdLoadtestTorus(t *testing.T) {
 
 // TestCmdLoadtestBatch drives the bulk serving path from the CLI: a
 // -batch run on the dim-3 torus with failures must still verify
-// invariants and echo the batch size in its header.
+// invariants and echo the batch size in its header. The run is
+// time-bound so the crash always fires before it ends.
 func TestCmdLoadtestBatch(t *testing.T) {
 	out := runCmd(t, cmdLoadtest, "-space", "torus", "-dim", "3", "-servers", "16",
-		"-workers", "2", "-ops", "20000", "-keys", "2^8", "-batch", "32",
+		"-workers", "2", "-duration", "40ms", "-keys", "2^8", "-batch", "32",
 		"-failures", "crash@5ms:0.1")
-	for _, want := range []string{"batch=32 bulk ops/call", "invariants: OK"} {
+	for _, want := range []string{"batch=32 bulk ops/call", "failure: crash@5ms killed", "invariants: OK"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"geobalance/internal/rng"
+	"geobalance/internal/router"
 )
 
 // checkSnapshot asserts the structural invariants every published
@@ -17,29 +18,30 @@ import (
 // servers) and coherent slot tables. Readers racing membership churn
 // call this on freshly loaded snapshots to prove no half-applied
 // change is ever visible.
-func checkSnapshot(t *topology) error {
-	if len(t.servers) != len(t.caps) || len(t.servers) != len(t.dead) ||
-		len(t.servers) != len(t.loads) {
+func checkSnapshot(s *router.Snapshot) error {
+	if len(s.Names) != len(s.Caps) || len(s.Names) != len(s.Dead) ||
+		len(s.Names) != len(s.Loads) {
 		return fmt.Errorf("slot tables disagree: %d servers, %d caps, %d dead, %d loads",
-			len(t.servers), len(t.caps), len(t.dead), len(t.loads))
+			len(s.Names), len(s.Caps), len(s.Dead), len(s.Loads))
 	}
 	live := 0
-	for _, d := range t.dead {
+	for _, d := range s.Dead {
 		if !d {
 			live++
 		}
 	}
-	if live != t.live {
-		return fmt.Errorf("live = %d, dead table says %d", t.live, live)
+	if live != s.Live {
+		return fmt.Errorf("live = %d, dead table says %d", s.Live, live)
 	}
-	if t.live == 0 {
-		if t.points != nil {
+	t, _ := s.Topo.(*ringTopo)
+	if s.Live == 0 {
+		if t != nil && t.points != nil {
 			return fmt.Errorf("empty ring with %d points", t.points.Len())
 		}
 		return nil
 	}
-	if t.points == nil || t.points.Len() != t.live*t.replicas {
-		return fmt.Errorf("point count != live %d * replicas %d", t.live, t.replicas)
+	if t == nil || t.points == nil || t.points.Len() != s.Live*t.replicas {
+		return fmt.Errorf("point count != live %d * replicas", s.Live)
 	}
 	if len(t.bits) != t.points.Len()+1 || len(t.owner) != t.points.Len() {
 		return fmt.Errorf("bits/owner length mismatch")
@@ -49,9 +51,9 @@ func checkSnapshot(t *topology) error {
 			return fmt.Errorf("points unsorted at %d", i)
 		}
 	}
-	for _, s := range t.owner {
-		if int(s) >= len(t.servers) || t.dead[s] {
-			return fmt.Errorf("point owned by dead or invalid slot %d", s)
+	for _, o := range t.owner {
+		if int(o) >= len(s.Names) || s.Dead[o] {
+			return fmt.Errorf("point owned by dead or invalid slot %d", o)
 		}
 	}
 	return nil
@@ -101,7 +103,7 @@ func TestSnapshotConsistencyUnderChurn(t *testing.T) {
 			defer readers.Done()
 			rr := rng.NewStream(99, uint64(w))
 			for i := 0; i < 3000; i++ {
-				snap := r.snap.Load()
+				snap := r.rt.Snapshot()
 				if err := checkSnapshot(snap); err != nil {
 					errc <- fmt.Errorf("reader %d iter %d: %w", w, i, err)
 					return
@@ -109,9 +111,9 @@ func TestSnapshotConsistencyUnderChurn(t *testing.T) {
 				// Resolve a lookup wholly against this snapshot: the d
 				// candidates must all be live in it.
 				key := fmt.Sprintf("key-%d", rr.Intn(4096))
-				for j := 0; j < snap.d; j++ {
-					s := snap.ownerOf(hashLabeled('k', j, key))
-					if snap.dead[s] {
+				for j := 0; j < snap.D; j++ {
+					s := snap.Topo.Resolve(router.Hash('k', j, key))
+					if snap.Dead[s] {
 						errc <- fmt.Errorf("reader %d: candidate on dead server", w)
 						return
 					}
@@ -305,9 +307,11 @@ func TestReadPathAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("Locate allocates %v per run; want 0", got)
 	}
-	snap := r.snap.Load()
+	snap := r.rt.Snapshot()
 	if got := testing.AllocsPerRun(200, func() {
-		snap.choose("key-37", hashLabeled('k', 0, "key-37"))
+		for j := 0; j < snap.D; j++ {
+			snap.Topo.Resolve(router.Hash('k', j, "key-37"))
+		}
 	}); got != 0 {
 		t.Errorf("candidate resolution allocates %v per run; want 0", got)
 	}
@@ -384,7 +388,7 @@ func FuzzMembershipOps(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			if err := checkSnapshot(r.snap.Load()); err != nil {
+			if err := checkSnapshot(r.rt.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 		}

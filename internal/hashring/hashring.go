@@ -13,15 +13,17 @@
 //
 // # Architecture
 //
-// Since the serving-layer split, this package owns only the ring
-// GEOMETRY: hashing servers to sorted points on [0, 1) and resolving a
-// key hash to the owner of its arc through an internal/jump index
-// (ringTopo, the router.Topology implementation). Everything else —
-// the immutable snapshot publication, copy-on-write membership,
+// This package owns only the ring GEOMETRY: hashing servers to sorted
+// points on [0, 1) and resolving a key hash to the owner of its arc
+// through an internal/jump index (ringTopo, the router.Topology and
+// router.BlockTopology implementation). Everything else — the
+// immutable snapshot publication, copy-on-write membership,
 // cache-line-padded sharded load counters, hash-sharded key records,
-// Place/Locate/Remove/Rebalance — is the space-agnostic serving core
-// in internal/router, shared verbatim with the torus-backed router.Geo.
-// The public API and its guarantees are unchanged by the split.
+// the resolve → select → commit serving pipeline behind
+// Place/Locate/Remove and their batch forms, Rebalance/Repair and
+// journal replay — is the space-agnostic serving core in
+// internal/router, shared verbatim with the torus-backed router.Geo.
+// The Ring methods forward to it.
 //
 // # Concurrency model
 //
@@ -64,12 +66,6 @@ import (
 	"geobalance/internal/metrics"
 	"geobalance/internal/router"
 )
-
-// hashLabeled is the router's labeled, salted hash (kept under its
-// pre-split name for the package's white-box tests).
-func hashLabeled(label byte, salt int, s string) uint64 {
-	return router.Hash(label, salt, s)
-}
 
 // ringTopo is the ring metric as a router.Topology: every live server
 // contributes `replicas` hashed points on [0, 1), each point owns the
@@ -207,7 +203,6 @@ func WithReplicas(k int) Option {
 type Ring struct {
 	rt       *router.Router
 	replicas int
-	snap     snapPointer // white-box test view; see compat.go
 }
 
 // New builds a ring over the given servers. Server names must be
@@ -223,7 +218,7 @@ func New(servers []string, opts ...Option) (*Ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Ring{rt: rt, replicas: cfg.replicas, snap: snapPointer{rt: rt}}
+	r := &Ring{rt: rt, replicas: cfg.replicas}
 	for _, s := range servers {
 		if err := r.AddServer(s); err != nil {
 			return nil, err
@@ -241,10 +236,14 @@ func (r *Ring) rebuild(tx *router.Txn) router.Topology {
 // owners change are NOT moved automatically; call Rebalance to restore
 // placement invariants (split so callers control when migration cost is
 // paid). Re-adding a removed server reuses its slot.
-func (r *Ring) AddServer(name string) error {
-	e := journal.Entry{Op: journal.OpAddServer, Name: name, Value: 1}
+func (r *Ring) AddServer(name string) error { return r.addServer(name, 1) }
+
+// addServer is AddServer at a given relative capacity (journal replay
+// restores captured capacities through it).
+func (r *Ring) addServer(name string, capacity float64) error {
+	e := journal.Entry{Op: journal.OpAddServer, Name: name, Value: capacity}
 	return r.rt.UpdateJournaled(e, func(tx *router.Txn) (router.Topology, error) {
-		if _, err := tx.Add(name); err != nil {
+		if _, err := tx.AddWithCapacity(name, capacity); err != nil {
 			return nil, err
 		}
 		return r.rebuild(tx), nil
@@ -388,12 +387,6 @@ func (r *Ring) NumKeys() int { return r.rt.NumKeys() }
 // one snapshot load, one jump-index block resolve, one shard lock
 // round, one journal group commit; see router.Router.PlaceBatch.
 func (r *Ring) PlaceBatch(keys []string, out []router.BatchResult) { r.rt.PlaceBatch(keys, out) }
-
-// PlaceReplicatedBatch is PlaceBatch under a replication factor; see
-// router.Router.PlaceReplicatedBatch.
-func (r *Ring) PlaceReplicatedBatch(keys []string, out []router.BatchResult) {
-	r.rt.PlaceReplicatedBatch(keys, out)
-}
 
 // LocateBatch looks up a block of placed keys; see
 // router.Router.LocateBatch.

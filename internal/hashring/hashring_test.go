@@ -388,3 +388,43 @@ func BenchmarkRebalanceAfterJoin(b *testing.B) {
 		r.Rebalance()
 	}
 }
+
+// TestSingleOwnerRecoveryKeepsKeys: a ring that never called
+// SetReplication must keep every key through a crash and Repair, and
+// through a drain and migration (the single-owner records the recovery
+// passes write must be readable and pass CheckInvariants).
+func TestSingleOwnerRecoveryKeepsKeys(t *testing.T) {
+	for _, drain := range []bool{false, true} {
+		r, err := New(serverNames(16), WithChoices(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 400)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("so-%d", i)
+			if _, err := r.Place(keys[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		victim := r.Servers()[0]
+		if drain {
+			if err := r.SetDraining(victim, true); err != nil {
+				t.Fatal(err)
+			}
+			r.PlanMigration(0).ApplyAll()
+		} else {
+			if err := r.RemoveServer(victim); err != nil {
+				t.Fatal(err)
+			}
+			r.Repair()
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("drain=%v: %v", drain, err)
+		}
+		for _, key := range keys {
+			if _, err := r.LocateAny(key); err != nil {
+				t.Fatalf("drain=%v: key %q lost: %v", drain, key, err)
+			}
+		}
+	}
+}

@@ -1,14 +1,14 @@
 // Durability for the ring facade: the write-ahead journal hook and
 // the recovery constructor. The mechanics live in internal/journal
-// and the serving core's journal.go; this file only supplies the
-// ring-shaped header and replay dispatch. Unlike the geo facade, ring
+// and the serving core's journal.go (Router.Replay); this file only
+// supplies the ring-shaped header and the membership ops replay
+// drives. Unlike the geo facade, ring
 // membership entries carry no coordinates — server positions are a
 // pure function of the name, so replaying the adds reproduces the
 // ring bit-for-bit.
 package hashring
 
 import (
-	"errors"
 	"fmt"
 
 	"geobalance/internal/journal"
@@ -41,56 +41,21 @@ func Recover(dir string, opts journal.Options) (*Ring, *journal.Recovered, error
 	if err != nil {
 		return nil, nil, err
 	}
+	var rg *Ring
 	if rec.Header.Kind != "ring" {
-		lg.Close()
-		return nil, nil, &journal.CorruptError{Reason: fmt.Sprintf("journal is for a %q router, not ring", rec.Header.Kind)}
+		err = &journal.CorruptError{Reason: fmt.Sprintf("journal is for a %q router, not ring", rec.Header.Kind)}
+	} else if rg, err = New(nil, WithChoices(rec.Header.D), WithReplicas(rec.Header.Replicas)); err != nil {
+		err = &journal.CorruptError{Reason: err.Error()}
+	} else {
+		err = rg.rt.Replay(rec.Entries, rg.replayAdd, rg.RemoveServer)
 	}
-	rg, err := New(nil, WithChoices(rec.Header.D), WithReplicas(rec.Header.Replicas))
 	if err != nil {
 		lg.Close()
-		return nil, nil, &journal.CorruptError{Reason: err.Error()}
-	}
-	for i := range rec.Entries {
-		if err := rg.applyEntry(&rec.Entries[i]); err != nil {
-			lg.Close()
-			if !errors.Is(err, journal.ErrCorrupt) {
-				err = &journal.CorruptError{Reason: err.Error()}
-			}
-			return nil, nil, fmt.Errorf("hashring: replaying entry %d: %w", i, err)
-		}
+		return nil, nil, err
 	}
 	rg.rt.SetJournal(lg)
 	return rg, rec, nil
 }
 
-// applyEntry replays one journal entry through the facade. The journal
-// is detached during replay, so nothing is re-journaled.
-func (rg *Ring) applyEntry(e *journal.Entry) error {
-	switch e.Op {
-	case journal.OpAddServer:
-		if err := rg.AddServer(e.Name); err != nil {
-			return err
-		}
-		if e.Value != 1 {
-			return rg.SetCapacity(e.Name, e.Value)
-		}
-		return nil
-	case journal.OpRemoveServer:
-		return rg.RemoveServer(e.Name)
-	case journal.OpSetCapacity:
-		return rg.SetCapacity(e.Name, e.Value)
-	case journal.OpSetDraining:
-		return rg.SetDraining(e.Name, e.Flag)
-	case journal.OpSetReplication:
-		return rg.SetReplication(e.Count)
-	case journal.OpSetBoundedLoad:
-		return rg.SetBoundedLoad(e.Value)
-	case journal.OpPlace:
-		return rg.rt.RestorePlace(e.Name, e.Rec)
-	case journal.OpUpdateRec:
-		return rg.rt.RestoreUpdate(e.Name, e.Rec)
-	case journal.OpRemoveKey:
-		return rg.rt.RestoreRemove(e.Name)
-	}
-	return &journal.CorruptError{Reason: fmt.Sprintf("unknown op %d", e.Op)}
-}
+// replayAdd replays a server add at its captured capacity.
+func (rg *Ring) replayAdd(e *journal.Entry) error { return rg.addServer(e.Name, e.Value) }

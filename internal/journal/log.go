@@ -385,23 +385,7 @@ func appendFrame(dst []byte, seq uint64, e *Entry) []byte {
 // it only buffers. The returned error is sticky: once an append fails,
 // the log refuses further writes.
 func (l *Log) Append(e Entry) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	l.seq++
-	seq := l.seq
-	l.pending = appendFrame(l.pending, seq, &e)
-	if m := l.opts.Metrics; m != nil {
-		m.Appends.Inc(seq)
-	}
-	return l.commitAppended(seq)
+	return l.AppendBatch([]Entry{e}) // es does not escape: the slice stays on the stack
 }
 
 // AppendBatch durably records a block of mutations with consecutive

@@ -1,4 +1,4 @@
-// Tests for the bulk serving path (batch.go). The load-bearing suite
+// Tests for the bulk serving path (pipeline.go). The load-bearing suite
 // is the batch-vs-sequential matrix: two identically seeded routers,
 // one driven by scalar calls and one by batches, must produce the same
 // per-key outcomes, the same load vectors, and the same metrics across

@@ -26,7 +26,6 @@ package router
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"geobalance/internal/journal"
@@ -122,100 +121,4 @@ func (r *Router) MaxRelLoad() float64 {
 		}
 	}
 	return m
-}
-
-// chooseBounded is the bounded-load placement choice: the replication
-// target's worth of least-relatively-loaded candidates drawn only from
-// candidates below the admission threshold. It returns the record, the
-// number of saturated candidates forwarded past, the overshoot ratio
-// of the least-loaded candidate against the threshold (for the
-// retry-after hint), and whether admission succeeded. Allocation-free.
-func (t *Snapshot) chooseBounded(key string, h0 uint64) (rec keyRec, skipped int, overshoot float64, ok bool) {
-	var (
-		cs    [MaxChoices]int32
-		salts [MaxChoices]int8
-	)
-	nc := t.gatherCandidates(key, h0, &cs, &salts)
-	return t.admitBounded(&cs, &salts, nc)
-}
-
-// admitBounded finishes a bounded-load choice over gathered distinct
-// candidates. Split from chooseBounded so the batch placement path
-// (batch.go), which pre-resolves its candidates in bulk, shares the
-// admission and selection verbatim with the scalar path.
-func (t *Snapshot) admitBounded(cs *[MaxChoices]int32, salts *[MaxChoices]int8, nc int) (rec keyRec, skipped int, overshoot float64, ok bool) {
-	var rels [MaxChoices]float64
-
-	// The replication target follows recValid's rule exactly: min(R,
-	// distinct candidates), with draining candidates excluded while a
-	// non-draining one exists.
-	want := t.R
-	if want < 1 {
-		want = 1
-	}
-	drainFiltered := false
-	if t.draining > 0 {
-		nd := 0
-		for i := 0; i < nc; i++ {
-			if !t.Drain[cs[i]] {
-				nd++
-			}
-		}
-		if nd > 0 {
-			drainFiltered = nd != nc
-			if want > nd {
-				want = nd
-			}
-		} else if want > nc {
-			want = nc
-		}
-	} else if want > nc {
-		want = nc
-	}
-
-	// The admission threshold: post-placement load must stay within
-	// ceil(c · m · cap_s / capSum), m counting the incoming replica.
-	limit := t.Bound * float64(t.Total.Total()+1) / t.CapSum
-
-	minRel := math.Inf(1)
-	k := 0
-	for i := 0; i < nc; i++ {
-		s := cs[i]
-		load := float64(t.Loads[s].Total())
-		rel := load / t.Caps[s]
-		if rel < minRel {
-			minRel = rel
-		}
-		if load+1 > math.Ceil(limit*t.Caps[s]) {
-			skipped++ // saturated: forward past it
-			continue
-		}
-		if drainFiltered && t.Drain[s] {
-			continue // a drained replica would invalidate the record
-		}
-		cs[k], salts[k], rels[k] = s, salts[i], rel
-		k++
-	}
-	if k < want {
-		// Not enough admissible candidates for a full record: reject
-		// rather than place a degraded set (a short record would be
-		// "repaired" onto the very servers admission just refused).
-		return keyRec{}, skipped, minRel / limit, false
-	}
-	// Top-want by relative load among the admissible; the filter is
-	// stable, so ties still break toward the lower choice index.
-	for w := 0; w < want; w++ {
-		bi := w
-		for i := w + 1; i < k; i++ {
-			if rels[i] < rels[bi] {
-				bi = i
-			}
-		}
-		cs[w], cs[bi] = cs[bi], cs[w]
-		salts[w], salts[bi] = salts[bi], salts[w]
-		rels[w], rels[bi] = rels[bi], rels[w]
-		rec.slots[w], rec.salts[w] = cs[w], salts[w]
-	}
-	rec.n = int8(want)
-	return rec, skipped, 0, true
 }

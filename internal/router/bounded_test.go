@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -187,30 +188,32 @@ func TestBoundedCapacityRelative(t *testing.T) {
 // this), so a record shorter than R is legitimate exactly when the
 // candidate set itself collapsed.
 func distinctCandidates(g *Geo, key string) int {
+	n, _ := countCandidates(g, key)
+	return n
+}
+
+// countCandidates resolves the key's d choices and counts the distinct
+// candidates and, of those, the ones not draining.
+func countCandidates(g *Geo, key string) (distinct, serving int) {
 	t := g.rt.Snapshot()
-	var (
-		cs    [MaxChoices]int32
-		salts [MaxChoices]int8
-	)
-	return t.gatherCandidates(key, Hash('k', 0, key), &cs, &salts)
+	var cb [MaxChoices]int32
+	cands := t.resolve(key, Hash('k', 0, key), &cb)
+	for j, s := range cands {
+		if !slices.Contains(cands[:j], s) {
+			distinct++
+			if !t.IsDraining(s) {
+				serving++
+			}
+		}
+	}
+	return distinct, serving
 }
 
 // nonDrainingCandidates counts the key's distinct candidates that are
 // not draining.
 func nonDrainingCandidates(g *Geo, key string) int {
-	t := g.rt.Snapshot()
-	var (
-		cs    [MaxChoices]int32
-		salts [MaxChoices]int8
-	)
-	n := t.gatherCandidates(key, Hash('k', 0, key), &cs, &salts)
-	nd := 0
-	for i := 0; i < n; i++ {
-		if !t.Drain[cs[i]] {
-			nd++
-		}
-	}
-	return nd
+	_, n := countCandidates(g, key)
+	return n
 }
 
 // TestBoundedFullReplicaSetOrReject: with replication, admission

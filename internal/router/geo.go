@@ -136,14 +136,17 @@ func NewGeo(dim, d int) (*Geo, error) {
 // Dim returns the torus dimension.
 func (g *Geo) Dim() int { return g.dim }
 
-// freshSlotSite builds a slot -> site table of the current slot-table
-// length, every entry dead (-1).
-func freshSlotSite(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = -1
+// newGeoTopo indexes space for a slot table of the given length: the
+// slot -> site table is derived from siteSlot, dead slots at -1.
+func newGeoTopo(dim int, space *torus.Space, siteSlot []int32, slots int) *geoTopo {
+	slotSite := make([]int32, slots)
+	for i := range slotSite {
+		slotSite[i] = -1
 	}
-	return out
+	for si, sl := range siteSlot {
+		slotSite[sl] = int32(si)
+	}
+	return &geoTopo{dim: dim, space: space, siteSlot: siteSlot, slotSite: slotSite}
 }
 
 // AddServer places a server at fixed torus coordinates (dimension
@@ -188,11 +191,7 @@ func (g *Geo) AddServerWithCapacity(name string, at geom.Vec, capacity float64) 
 			copy(siteSlot, prev.siteSlot)
 			siteSlot[len(prev.siteSlot)] = slot
 		}
-		slotSite := freshSlotSite(len(tx.Names()))
-		for si, sl := range siteSlot {
-			slotSite[sl] = int32(si)
-		}
-		return &geoTopo{dim: g.dim, space: space, siteSlot: siteSlot, slotSite: slotSite}, nil
+		return newGeoTopo(g.dim, space, siteSlot, len(tx.Names())), nil
 	})
 }
 
@@ -215,11 +214,7 @@ func (g *Geo) RemoveServer(name string) error {
 		siteSlot := make([]int32, len(prev.siteSlot)-1)
 		copy(siteSlot, prev.siteSlot[:si])
 		copy(siteSlot[si:], prev.siteSlot[si+1:])
-		slotSite := freshSlotSite(len(tx.Names()))
-		for s2, sl := range siteSlot {
-			slotSite[sl] = int32(s2)
-		}
-		return &geoTopo{dim: g.dim, space: space, siteSlot: siteSlot, slotSite: slotSite}, nil
+		return newGeoTopo(g.dim, space, siteSlot, len(tx.Names())), nil
 	})
 }
 
@@ -353,12 +348,6 @@ func (g *Geo) NumKeys() int { return g.rt.NumKeys() }
 // one snapshot load, one torus batch resolve, one shard lock round,
 // one journal group commit; see Router.PlaceBatch.
 func (g *Geo) PlaceBatch(keys []string, out []BatchResult) { g.rt.PlaceBatch(keys, out) }
-
-// PlaceReplicatedBatch is PlaceBatch under a replication factor; see
-// Router.PlaceReplicatedBatch.
-func (g *Geo) PlaceReplicatedBatch(keys []string, out []BatchResult) {
-	g.rt.PlaceReplicatedBatch(keys, out)
-}
 
 // LocateBatch looks up a block of placed keys; see Router.LocateBatch.
 func (g *Geo) LocateBatch(keys []string, out []BatchResult) { g.rt.LocateBatch(keys, out) }

@@ -268,7 +268,8 @@ func TestGeoReadPathAllocs(t *testing.T) {
 			}
 			snap := g.rt.Snapshot()
 			if got := testing.AllocsPerRun(200, func() {
-				snap.Choose("key-37", Hash('k', 0, "key-37"))
+				var cb [MaxChoices]int32
+				snap.choose(snap.resolve("key-37", Hash('k', 0, "key-37"), &cb), nil, true)
 			}); got != 0 {
 				t.Errorf("candidate resolution allocates %v per run; want 0", got)
 			}

@@ -2,32 +2,33 @@
 // serving core, on the same nil-checked atomic-pointer contract as the
 // metrics instrument — a router with no journal attached pays one
 // atomic pointer load and a predictable branch per mutation, nothing
-// else, and never an allocation (guarded in journal_alloc_test.go).
+// else, and never an allocation (guarded by TestJournalOffPlaceAllocs).
 //
 // With a journal attached, every mutation appends its record BEFORE it
 // becomes visible: membership changes append inside the writer mutex
 // just before the snapshot publishes, and key-record changes append
-// under the key-shard lock just before the record stores. The journal
-// therefore totally orders the mutations it sees per key and orders
-// every membership change before any placement made against it —
-// exactly the ordering replay needs. Place and Remove are
-// write-ahead in the strict sense (a failed append fails the
-// operation); Rebalance, Repair, and migration append without waiting
-// for the fsync, because losing a tail update record is benign: the
-// recovered router holds the key's previous record and the standard
-// post-recovery Repair/Rebalance pass re-homes it, with no key lost.
+// under the key-shard lock, which is held until the append returns.
+// The journal therefore totally orders the mutations it sees per key
+// and orders every membership change before any placement made against
+// it — exactly the ordering replay needs. Place and Remove (scalar and
+// batch) are write-ahead in the strict sense (a failed append rolls the
+// call back and fails it); Rebalance, Repair, and migration append
+// without waiting for the fsync, because losing a tail update record is
+// benign: the recovered router holds the key's previous record and the
+// standard post-recovery Repair/Rebalance pass re-homes it, with no key
+// lost.
 //
-// Replay installs recorded outcomes verbatim (RestorePlace et al.)
-// rather than re-running the d-choice rule, whose outcome depends on
-// load counters and racing traffic. Slot indices are stable under
-// total-order replay — slots are append-only and never reused for new
-// names — so a recorded slot means the same server at replay time as
-// it did at append time.
+// Replay installs recorded outcomes verbatim rather than re-running
+// the d-choice rule, whose outcome depends on load counters and racing
+// traffic. Slot indices are stable under total-order replay — slots
+// are append-only and never reused for new names — so a recorded slot
+// means the same server at replay time as it did at append time.
 package router
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"geobalance/internal/geom"
@@ -56,14 +57,8 @@ func (r *Router) Journal() *journal.Log { return r.jl.Load() }
 func (r *Router) StartJournal(dir string, hdr journal.Header, coords CoordsFunc, opts journal.Options) (*journal.Log, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := range r.keys {
-		r.keys[i].mu.Lock()
-	}
-	defer func() {
-		for i := range r.keys {
-			r.keys[i].mu.Unlock()
-		}
-	}()
+	r.lockShards(allShards)
+	defer r.unlockShards(allShards)
 	lg, err := journal.Create(dir, hdr, r.captureStateLocked(coords), opts)
 	if err != nil {
 		return nil, err
@@ -82,14 +77,8 @@ func (r *Router) CompactJournal(coords CoordsFunc) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := range r.keys {
-		r.keys[i].mu.Lock()
-	}
-	defer func() {
-		for i := range r.keys {
-			r.keys[i].mu.Unlock()
-		}
-	}()
+	r.lockShards(allShards)
+	defer r.unlockShards(allShards)
 	return lg.Compact(r.captureStateLocked(coords))
 }
 
@@ -149,97 +138,105 @@ func recToJournal(rec keyRec) journal.Rec {
 	return jr
 }
 
-// recFromJournal validates a journaled record against the current slot
-// table and converts it. Dead slots are legal — a record stranded on a
-// dead server at capture or crash time replays as-is and the standard
+// recFromJournal validates a journaled record against the slot table
+// and converts it. Dead slots are legal — a record stranded on a dead
+// server at capture or crash time replays as-is and the standard
 // post-recovery Repair pass re-homes it.
-func (r *Router) recFromJournal(key string, jr journal.Rec) (keyRec, error) {
-	t := r.snap.Load()
+func (t *Snapshot) recFromJournal(key string, jr journal.Rec) (keyRec, error) {
 	if jr.N < 1 || jr.N > MaxReplicas {
-		return keyRec{}, &journal.CorruptError{Reason: fmt.Sprintf("key %q: replica count %d", key, jr.N)}
+		return keyRec{}, fmt.Errorf("key %q: replica count %d", key, jr.N)
 	}
-	var rec keyRec
-	rec.n = int8(jr.N)
+	rec := keyRec{n: int8(jr.N)}
 	for i := 0; i < jr.N; i++ {
 		s := jr.Slots[i]
-		if s < 0 || int(s) >= len(t.Names) {
-			return keyRec{}, &journal.CorruptError{Reason: fmt.Sprintf("key %q: slot %d of %d", key, s, len(t.Names))}
-		}
-		if jr.Salts[i] < 0 || int(jr.Salts[i]) >= t.D {
-			return keyRec{}, &journal.CorruptError{Reason: fmt.Sprintf("key %q: choice index %d of %d", key, jr.Salts[i], t.D)}
-		}
-		for j := 0; j < i; j++ {
-			if jr.Slots[j] == s {
-				return keyRec{}, &journal.CorruptError{Reason: fmt.Sprintf("key %q: duplicate replica slot %d", key, s)}
-			}
+		switch {
+		case s < 0 || int(s) >= len(t.Names):
+			return keyRec{}, fmt.Errorf("key %q: slot %d of %d", key, s, len(t.Names))
+		case jr.Salts[i] < 0 || int(jr.Salts[i]) >= t.D:
+			return keyRec{}, fmt.Errorf("key %q: choice index %d of %d", key, jr.Salts[i], t.D)
+		case slices.Contains(jr.Slots[:i], s):
+			return keyRec{}, fmt.Errorf("key %q: duplicate replica slot %d", key, s)
 		}
 		rec.slots[i], rec.salts[i] = s, jr.Salts[i]
 	}
 	return rec, nil
 }
 
-// RestorePlace replays a journaled placement: the recorded replica set
-// is installed verbatim (no d-choice re-run) and charged to the load
-// counters. Replaying a key that already exists is corruption — a
-// correct log removes before it re-places.
-func (r *Router) RestorePlace(key string, jr journal.Rec) error {
-	rec, err := r.recFromJournal(key, jr)
-	if err != nil {
-		return err
+// Replay rebuilds state from recovered journal entries, in order: key
+// records are installed verbatim, policy entries go through the
+// router's setters, and server adds and removes through the facade's
+// membership ops, which build the topology. Run it on a fresh router
+// with no journal attached, so nothing is re-journaled. Every failure
+// wraps journal.ErrCorrupt: a CRC-valid entry the router rejects
+// (duplicate server, unplaced key, ...) means the log's contents are
+// inconsistent, the same contract violation as a bad checksum.
+func (r *Router) Replay(es []journal.Entry, add func(e *journal.Entry) error, remove func(name string) error) error {
+	for i := range es {
+		e := &es[i]
+		var err error
+		switch e.Op {
+		case journal.OpAddServer:
+			err = add(e)
+		case journal.OpRemoveServer:
+			err = remove(e.Name)
+		case journal.OpSetCapacity:
+			err = r.SetCapacity(e.Name, e.Value)
+		case journal.OpSetDraining:
+			err = r.SetDraining(e.Name, e.Flag)
+		case journal.OpSetReplication:
+			err = r.SetReplication(e.Count)
+		case journal.OpSetBoundedLoad:
+			err = r.SetBoundedLoad(e.Value)
+		case journal.OpPlace, journal.OpUpdateRec, journal.OpRemoveKey:
+			err = r.replayKey(e)
+		default:
+			err = fmt.Errorf("unknown op %d", e.Op)
+		}
+		if err != nil {
+			if !errors.Is(err, journal.ErrCorrupt) {
+				err = &journal.CorruptError{Reason: err.Error()}
+			}
+			return fmt.Errorf("%s: replaying entry %d: %w", r.name, i, err)
+		}
 	}
-	h0 := Hash('k', 0, key)
-	ks := r.keyShardFor(h0)
-	ks.mu.Lock()
-	if _, dup := ks.m[key]; dup {
-		ks.mu.Unlock()
-		return &journal.CorruptError{Reason: fmt.Sprintf("key %q placed twice", key)}
-	}
-	t := r.snap.Load()
-	rec.addLoads(t, h0, 1)
-	ks.m[key] = rec
-	ks.mu.Unlock()
-	r.nkeys.Add(1)
 	return nil
 }
 
-// RestoreUpdate replays a journaled record replacement (rebalance,
-// repair, or migration delta). The key must exist.
-func (r *Router) RestoreUpdate(key string, jr journal.Rec) error {
-	rec, err := r.recFromJournal(key, jr)
-	if err != nil {
-		return err
-	}
-	h0 := Hash('k', 0, key)
+// replayKey installs one journaled placement, record update or removal
+// and moves the load charge. A placement must find the key absent and
+// the others present: a correct log removes before it re-places.
+func (r *Router) replayKey(e *journal.Entry) error {
+	h0 := Hash('k', 0, e.Name)
 	ks := r.keyShardFor(h0)
 	ks.mu.Lock()
-	old, ok := ks.m[key]
-	if !ok {
-		ks.mu.Unlock()
-		return &journal.CorruptError{Reason: fmt.Sprintf("update of unplaced key %q", key)}
-	}
+	defer ks.mu.Unlock()
 	t := r.snap.Load()
-	old.addLoads(t, h0, -1)
+	old, placed := ks.m[e.Name]
+	switch {
+	case placed && e.Op == journal.OpPlace:
+		return fmt.Errorf("key %q placed twice", e.Name)
+	case !placed && e.Op != journal.OpPlace:
+		return fmt.Errorf("update or removal of unplaced key %q", e.Name)
+	}
+	var rec keyRec
+	if e.Op != journal.OpRemoveKey {
+		var err error
+		if rec, err = t.recFromJournal(e.Name, e.Rec); err != nil {
+			return err
+		}
+	}
+	if placed {
+		old.addLoads(t, h0, -1)
+	} else {
+		r.nkeys.Add(1)
+	}
+	if e.Op == journal.OpRemoveKey {
+		delete(ks.m, e.Name)
+		r.nkeys.Add(-1)
+		return nil
+	}
 	rec.addLoads(t, h0, 1)
-	ks.m[key] = rec
-	ks.mu.Unlock()
-	return nil
-}
-
-// RestoreRemove replays a journaled key removal. The key must exist.
-func (r *Router) RestoreRemove(key string) error {
-	h0 := Hash('k', 0, key)
-	ks := r.keyShardFor(h0)
-	ks.mu.Lock()
-	rec, ok := ks.m[key]
-	if !ok {
-		ks.mu.Unlock()
-		return &journal.CorruptError{Reason: fmt.Sprintf("removal of unplaced key %q", key)}
-	}
-	delete(ks.m, key)
-	t := r.snap.Load()
-	rec.addLoads(t, h0, -1)
-	ks.mu.Unlock()
-	r.nkeys.Add(-1)
+	ks.m[e.Name] = rec
 	return nil
 }
 
@@ -262,13 +259,7 @@ func (r *Router) UpdateJournaled(e journal.Entry, fn func(tx *Txn) (Topology, er
 	// CapSum is derived, not mutated: recompute from the post-mutation
 	// slot tables so the bounded-load mean is always consistent with
 	// the membership it publishes with.
-	var capSum float64
-	for i := range nt.Names {
-		if !nt.Dead[i] {
-			capSum += nt.Caps[i]
-		}
-	}
-	nt.CapSum = capSum
+	nt.CapSum = nt.liveCapSum()
 	if e.Op != 0 {
 		if lg := r.jl.Load(); lg != nil {
 			if err := lg.Append(e); err != nil {
@@ -323,65 +314,29 @@ func RecoverGeo(dir string, opts journal.Options) (*Geo, *journal.Recovered, err
 	if err != nil {
 		return nil, nil, err
 	}
+	var g *Geo
 	if rec.Header.Kind != "geo" {
-		lg.Close()
-		return nil, nil, &journal.CorruptError{Reason: fmt.Sprintf("journal is for a %q router, not geo", rec.Header.Kind)}
+		err = &journal.CorruptError{Reason: fmt.Sprintf("journal is for a %q router, not geo", rec.Header.Kind)}
+	} else if g, err = NewGeo(rec.Header.Dim, rec.Header.D); err != nil {
+		err = &journal.CorruptError{Reason: err.Error()}
+	} else {
+		err = g.rt.Replay(rec.Entries, g.replayAdd, g.RemoveServer)
 	}
-	g, err := NewGeo(rec.Header.Dim, rec.Header.D)
 	if err != nil {
 		lg.Close()
-		return nil, nil, &journal.CorruptError{Reason: err.Error()}
-	}
-	for i := range rec.Entries {
-		if err := g.applyEntry(&rec.Entries[i]); err != nil {
-			lg.Close()
-			return nil, nil, fmt.Errorf("geo: replaying entry %d: %w", i, asCorrupt(err))
-		}
+		return nil, nil, err
 	}
 	g.rt.SetJournal(lg)
 	return g, rec, nil
 }
 
-// asCorrupt types a replay failure as corruption: a facade rejecting a
-// CRC-valid entry (duplicate server, capacity out of range, ...) means
-// the log's contents are inconsistent, which is the same contract
-// violation as a bad checksum.
-func asCorrupt(err error) error {
-	if errors.Is(err, journal.ErrCorrupt) {
-		return err
+// replayAdd replays a server add. Dead slots are captured without
+// coordinates and come back at the origin until their removal replays:
+// only the slot number matters.
+func (g *Geo) replayAdd(e *journal.Entry) error {
+	at := e.Coords
+	if at == nil {
+		at = make(geom.Vec, g.dim)
 	}
-	return &journal.CorruptError{Reason: err.Error()}
-}
-
-// applyEntry replays one journal entry through the facade. The journal
-// is detached during replay, so nothing is re-journaled.
-func (g *Geo) applyEntry(e *journal.Entry) error {
-	switch e.Op {
-	case journal.OpAddServer:
-		at := make(geom.Vec, g.dim)
-		if e.Coords != nil {
-			if len(e.Coords) != g.dim {
-				return &journal.CorruptError{Reason: fmt.Sprintf("server %q at %d coordinates, want %d", e.Name, len(e.Coords), g.dim)}
-			}
-			copy(at, e.Coords)
-		}
-		return g.AddServerWithCapacity(e.Name, at, e.Value)
-	case journal.OpRemoveServer:
-		return g.RemoveServer(e.Name)
-	case journal.OpSetCapacity:
-		return g.SetCapacity(e.Name, e.Value)
-	case journal.OpSetDraining:
-		return g.SetDraining(e.Name, e.Flag)
-	case journal.OpSetReplication:
-		return g.SetReplication(e.Count)
-	case journal.OpSetBoundedLoad:
-		return g.SetBoundedLoad(e.Value)
-	case journal.OpPlace:
-		return g.rt.RestorePlace(e.Name, e.Rec)
-	case journal.OpUpdateRec:
-		return g.rt.RestoreUpdate(e.Name, e.Rec)
-	case journal.OpRemoveKey:
-		return g.rt.RestoreRemove(e.Name)
-	}
-	return &journal.CorruptError{Reason: fmt.Sprintf("unknown op %d", e.Op)}
+	return g.AddServerWithCapacity(e.Name, at, e.Value)
 }

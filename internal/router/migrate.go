@@ -20,12 +20,7 @@
 // layer.
 package router
 
-import (
-	"fmt"
-	"sort"
-
-	"geobalance/internal/journal"
-)
+import "fmt"
 
 // MoveDelta is one write-log entry of a MigrationPlan in exported
 // form: the key and its replica owner sets before and after the move.
@@ -79,45 +74,24 @@ func (r *Router) PlanMigration(limit int) *MigrationPlan {
 	defer r.mu.Unlock()
 	t := r.snap.Load()
 	p := &MigrationPlan{r: r, snap: t}
-	if t.Live == 0 {
-		return p
-	}
-	names := make([]string, 0, r.nkeys.Load())
-	for i := range r.keys {
-		ks := &r.keys[i]
-		ks.mu.RLock()
-		for k := range ks.m {
-			names = append(names, k)
-		}
-		ks.mu.RUnlock()
-	}
-	sort.Strings(names)
 	loads := make([]int64, len(t.Names))
 	for i := range loads {
 		loads[i] = t.Loads[i].Total()
 	}
-	for _, key := range names {
-		h0 := Hash('k', 0, key)
-		ks := r.keyShardFor(h0)
-		ks.mu.RLock()
-		rec, ok := ks.m[key]
-		ks.mu.RUnlock()
-		if !ok || t.recValid(key, h0, rec) {
-			continue
-		}
+	r.reconcile(t, loads, func(k *stray) bool {
 		if limit > 0 && len(p.ops) >= limit {
 			p.truncated = true
-			break
+			return false
 		}
-		nrec := t.chooseReplicated(key, h0, loads)
-		for i := 0; i < int(rec.n); i++ {
-			loads[rec.slots[i]]--
+		for i := 0; i < int(k.rec.n); i++ {
+			loads[k.rec.slots[i]]--
 		}
-		for i := 0; i < int(nrec.n); i++ {
-			loads[nrec.slots[i]]++
+		for i := 0; i < int(k.full.n); i++ {
+			loads[k.full.slots[i]]++
 		}
-		p.ops = append(p.ops, moveOp{key: key, old: rec, new: nrec})
-	}
+		p.ops = append(p.ops, moveOp{key: k.key, old: k.rec, new: k.full})
+		return true
+	})
 	return p
 }
 
@@ -177,8 +151,8 @@ func (p *MigrationPlan) ApplyBatch(max int) (applied, skipped int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := r.snap.Load()
-	lg := r.jl.Load()
 	sameSnap := t == p.snap
+	var cb [MaxChoices]int32
 	for (max <= 0 || applied+skipped < max) && p.next < len(p.ops) {
 		op := p.ops[p.next]
 		p.next++
@@ -186,24 +160,17 @@ func (p *MigrationPlan) ApplyBatch(max int) (applied, skipped int) {
 		ks := r.keyShardFor(h0)
 		ks.mu.Lock()
 		cur, ok := ks.m[op.key]
-		if !ok || cur != op.old || (!sameSnap && !t.recValid(op.key, h0, op.new)) {
-			ks.mu.Unlock()
+		legal := ok && cur == op.old
+		if legal && !sameSnap {
+			_, _, err := t.audit(op.key, h0, op.new, nil, &cb)
+			legal = err == nil
+		}
+		if legal && r.swap(t, ks, op.key, h0, op.old, op.new) {
+			applied++
+		} else {
 			skipped++
-			continue
 		}
-		if lg != nil {
-			// Async: a lost tail delta re-homes on the next pass.
-			if err := lg.AppendAsync(journal.Entry{Op: journal.OpUpdateRec, Name: op.key, Rec: recToJournal(op.new)}); err != nil {
-				ks.mu.Unlock()
-				skipped++
-				continue
-			}
-		}
-		op.old.addLoads(t, h0, -1)
-		op.new.addLoads(t, h0, 1)
-		ks.m[op.key] = op.new
 		ks.mu.Unlock()
-		applied++
 	}
 	p.applied += applied
 	p.skipped += skipped

@@ -16,7 +16,6 @@ package router
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"geobalance/internal/journal"
 )
@@ -47,12 +46,7 @@ func (r *Router) SetReplication(rep int) error {
 }
 
 // Replication returns the configured replicas-per-key factor.
-func (r *Router) Replication() int {
-	if t := r.snap.Load(); t.R > 1 {
-		return t.R
-	}
-	return 1
-}
+func (r *Router) Replication() int { return r.snap.Load().R }
 
 // SetDraining marks a live server as draining (or clears the mark):
 // it keeps serving the keys it holds, but placements and failover
@@ -66,33 +60,9 @@ func (r *Router) SetDraining(name string, draining bool) error {
 		if !ok || !tx.IsLive(i) {
 			return nil, fmt.Errorf("%s: unknown server %q", r.name, name)
 		}
-		t := tx.s
-		if t.Drain == nil {
-			t.Drain = make([]bool, len(t.Names))
-		}
-		if t.Drain[i] != draining {
-			t.Drain[i] = draining
-			if draining {
-				t.draining++
-			} else {
-				t.draining--
-			}
-		}
+		tx.s.setDrain(i, draining)
 		return tx.Topology(), nil
 	})
-}
-
-// PlaceReplicated is Place returning the replica count alongside the
-// primary: the key is pinned to the top-R of its d geometric
-// candidates (fewer when the candidate hashes resolve to fewer
-// distinct live servers). Allocation-free; use Owners for the full
-// owner list.
-func (r *Router) PlaceReplicated(key string) (string, int, error) {
-	t, rec, err := r.place(key)
-	if err != nil {
-		return "", 0, err
-	}
-	return t.Names[rec.slots[0]], int(rec.n), nil
 }
 
 // LocateAny returns a live server holding the key: the primary when it
@@ -111,39 +81,30 @@ func (r *Router) LocateAny(key string) (string, error) {
 	}
 	t := r.snap.Load()
 	m := r.met.Load()
-	drainFallback := int32(-1)
+	// The first live serving replica, else the first live draining one.
+	best := int32(-1)
 	for i := 0; i < int(rec.n); i++ {
 		s := rec.slots[i]
-		if t.Dead[s] {
+		if t.Dead[s] || best >= 0 && t.IsDraining(s) {
 			continue
 		}
-		if t.IsDraining(s) {
-			if drainFallback < 0 {
-				drainFallback = s
-			}
-			continue
+		if best = s; !t.IsDraining(s) {
+			break
 		}
-		if m != nil {
-			m.Locates.Inc(h0)
-			if s != rec.slots[0] {
-				m.Failovers.Inc(h0)
-			}
-		}
-		return t.Names[s], nil
 	}
-	if drainFallback >= 0 {
+	if best < 0 {
 		if m != nil {
-			m.Locates.Inc(h0)
-			if drainFallback != rec.slots[0] {
-				m.Failovers.Inc(h0)
-			}
+			m.NoLiveReplica.Inc(h0)
 		}
-		return t.Names[drainFallback], nil
+		return "", fmt.Errorf("%s: key %q: %w", r.name, key, ErrNoLiveReplica)
 	}
 	if m != nil {
-		m.NoLiveReplica.Inc(h0)
+		m.Locates.Inc(h0)
+		if best != rec.slots[0] {
+			m.Failovers.Inc(h0)
+		}
 	}
-	return "", fmt.Errorf("%s: key %q: %w", r.name, key, ErrNoLiveReplica)
+	return t.Names[best], nil
 }
 
 // Owners appends the names of every server currently recorded for the
@@ -163,330 +124,4 @@ func (r *Router) Owners(key string, dst []string) ([]string, error) {
 		dst = append(dst, t.Names[rec.slots[i]])
 	}
 	return dst, nil
-}
-
-// gatherCandidates collects the key's distinct candidate slots with
-// the first choice index that resolves to each, returning the count.
-// cs/salts must have MaxChoices capacity.
-func (t *Snapshot) gatherCandidates(key string, h0 uint64, cs *[MaxChoices]int32, salts *[MaxChoices]int8) int {
-	nc := 0
-	for j := 0; j < t.D; j++ {
-		h := h0
-		if j > 0 {
-			h = Hash('k', j, key)
-		}
-		s := t.Topo.Resolve(h)
-		dup := false
-		for i := 0; i < nc; i++ {
-			if cs[i] == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			cs[nc], salts[nc] = s, int8(j)
-			nc++
-		}
-	}
-	return nc
-}
-
-// dropDraining compacts draining slots out of a candidate list unless
-// that would empty it, reporting whether the drain filter applied.
-func (t *Snapshot) dropDraining(cs *[MaxChoices]int32, salts *[MaxChoices]int8, nc int) (int, bool) {
-	if t.draining == 0 {
-		return nc, false
-	}
-	k := 0
-	for i := 0; i < nc; i++ {
-		if !t.Drain[cs[i]] {
-			cs[k], salts[k] = cs[i], salts[i]
-			k++
-		}
-	}
-	if k == 0 {
-		return nc, false // every candidate drains: the filter must not apply
-	}
-	return k, k != nc
-}
-
-// chooseReplicated picks a key's full replica record: the min(R, nc)
-// least-relatively-loaded of its nc distinct candidates, draining
-// candidates excluded while an alternative exists, ties broken toward
-// the lower choice index. When loads is non-nil it overrides the live
-// counters — the migration planner uses this to simulate the load
-// movement of deltas it has already planned.
-func (t *Snapshot) chooseReplicated(key string, h0 uint64, loads []int64) keyRec {
-	var (
-		cs    [MaxChoices]int32
-		salts [MaxChoices]int8
-	)
-	nc := t.gatherCandidates(key, h0, &cs, &salts)
-	return t.selectReplicas(&cs, &salts, nc, loads)
-}
-
-// selectReplicas finishes a replicated choice over gathered distinct
-// candidates: drop draining candidates while an alternative exists,
-// then keep the min(R, remaining) least relatively loaded, ties toward
-// the lower choice index. Split from chooseReplicated so the batch
-// placement path (batch.go), which pre-resolves its candidates in
-// bulk, shares the selection verbatim with the scalar path.
-func (t *Snapshot) selectReplicas(cs *[MaxChoices]int32, salts *[MaxChoices]int8, nc int, loads []int64) keyRec {
-	var rels [MaxChoices]float64
-	nc, _ = t.dropDraining(cs, salts, nc)
-	for i := 0; i < nc; i++ {
-		if loads != nil {
-			rels[i] = float64(loads[cs[i]]) / t.Caps[cs[i]]
-		} else {
-			rels[i] = t.RelLoad(cs[i])
-		}
-	}
-	want := t.R
-	if want > nc {
-		want = nc
-	}
-	var rec keyRec
-	for k := 0; k < want; k++ {
-		bi := k
-		for i := k + 1; i < nc; i++ {
-			if rels[i] < rels[bi] {
-				bi = i
-			}
-		}
-		cs[k], cs[bi] = cs[bi], cs[k]
-		salts[k], salts[bi] = salts[bi], salts[k]
-		rels[k], rels[bi] = rels[bi], rels[k]
-		rec.slots[k], rec.salts[k] = cs[k], salts[k]
-	}
-	rec.n = int8(want)
-	return rec
-}
-
-// replicaTarget returns the replica count a conforming record must
-// have under this snapshot, and whether the drain filter applied to
-// the candidate set.
-func (t *Snapshot) replicaTarget(key string, h0 uint64) (want int, drainFiltered bool) {
-	var (
-		cs    [MaxChoices]int32
-		salts [MaxChoices]int8
-	)
-	nc := t.gatherCandidates(key, h0, &cs, &salts)
-	nc, drainFiltered = t.dropDraining(&cs, &salts, nc)
-	want = t.R
-	if want < 1 {
-		want = 1
-	}
-	if want > nc {
-		want = nc
-	}
-	return want, drainFiltered
-}
-
-// recValid reports whether rec is a legal record for the key under
-// snapshot t: every replica on a distinct live slot, resolving there
-// at its recorded choice index, no replica on a draining slot while a
-// non-draining candidate exists, and the replica count at the
-// snapshot's target. A legal record need not be the least-loaded
-// choice — placement is sticky.
-func (t *Snapshot) recValid(key string, h0 uint64, rec keyRec) bool {
-	if t.R <= 1 && t.draining == 0 {
-		// The single-owner fast path (one resolve, as before the
-		// replication layer).
-		if rec.n != 1 {
-			return false
-		}
-		s := rec.slots[0]
-		if t.Dead[s] {
-			return false
-		}
-		h := h0
-		if rec.salts[0] != 0 {
-			h = Hash('k', int(rec.salts[0]), key)
-		}
-		return t.Topo.Resolve(h) == s
-	}
-	want, drainFiltered := t.replicaTarget(key, h0)
-	if int(rec.n) != want {
-		return false
-	}
-	for i := 0; i < int(rec.n); i++ {
-		s := rec.slots[i]
-		if t.Dead[s] {
-			return false
-		}
-		if drainFiltered && t.Drain[s] {
-			return false
-		}
-		h := h0
-		if rec.salts[i] != 0 {
-			h = Hash('k', int(rec.salts[i]), key)
-		}
-		if t.Topo.Resolve(h) != s {
-			return false
-		}
-		for j := 0; j < i; j++ {
-			if rec.slots[j] == s {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// checkRec is recValid with diagnostics, for CheckInvariants.
-func (t *Snapshot) checkRec(key string, rec keyRec) error {
-	if rec.n < 1 || int(rec.n) > MaxReplicas {
-		return fmt.Errorf("key %q has replica count %d", key, rec.n)
-	}
-	h0 := Hash('k', 0, key)
-	for i := 0; i < int(rec.n); i++ {
-		s := rec.slots[i]
-		if int(s) >= len(t.Names) {
-			return fmt.Errorf("key %q on out-of-range slot %d", key, s)
-		}
-		if t.Dead[s] {
-			return fmt.Errorf("key %q on dead server %q", key, t.Names[s])
-		}
-		h := h0
-		if rec.salts[i] != 0 {
-			h = Hash('k', int(rec.salts[i]), key)
-		}
-		if got := t.Topo.Resolve(h); got != s {
-			return fmt.Errorf("key %q recorded on %q but hashes to %q",
-				key, t.Names[s], t.Names[got])
-		}
-		for j := 0; j < i; j++ {
-			if rec.slots[j] == s {
-				return fmt.Errorf("key %q has duplicate replica on %q", key, t.Names[s])
-			}
-		}
-	}
-	want, drainFiltered := t.replicaTarget(key, h0)
-	if int(rec.n) != want {
-		return fmt.Errorf("key %q has %d replicas, want %d", key, rec.n, want)
-	}
-	if drainFiltered {
-		for i := 0; i < int(rec.n); i++ {
-			if t.Drain[rec.slots[i]] {
-				return fmt.Errorf("key %q still on draining server %q",
-					key, t.Names[rec.slots[i]])
-			}
-		}
-	}
-	return nil
-}
-
-// Repair re-replicates keys whose replica set lost a member: for every
-// key with a dead or no-longer-resolving replica (or a stale replica
-// count after SetReplication), the surviving replicas stay exactly
-// where they are and only the lost slots are refilled with the
-// least-loaded live candidates not already in the set. Unlike
-// Rebalance it never moves a healthy replica, so a crash of k servers
-// touches only the keys those servers carried — the recovery pass to
-// run after failures. Returns the number of keys repaired and how many
-// of them had lost every replica (their records survive and are
-// re-homed, but a real deployment would need to restore their data
-// from clients or backup).
-func (r *Router) Repair() (repaired, lost int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := r.snap.Load()
-	if t.Live == 0 {
-		return 0, 0
-	}
-	names := make([]string, 0, r.nkeys.Load())
-	for i := range r.keys {
-		ks := &r.keys[i]
-		ks.mu.RLock()
-		for k := range ks.m {
-			names = append(names, k)
-		}
-		ks.mu.RUnlock()
-	}
-	sort.Strings(names)
-	lg := r.jl.Load()
-	for _, key := range names {
-		h0 := Hash('k', 0, key)
-		ks := r.keyShardFor(h0)
-		ks.mu.Lock()
-		rec, ok := ks.m[key]
-		if !ok || t.recValid(key, h0, rec) {
-			ks.mu.Unlock()
-			continue
-		}
-		nrec, allLost := t.repairRec(key, h0, rec)
-		if lg != nil {
-			// Async: a lost tail update re-homes on the next pass.
-			if err := lg.AppendAsync(journal.Entry{Op: journal.OpUpdateRec, Name: key, Rec: recToJournal(nrec)}); err != nil {
-				ks.mu.Unlock()
-				continue // journal dead: leave the record as journaled
-			}
-		}
-		rec.addLoads(t, h0, -1)
-		nrec.addLoads(t, h0, 1)
-		ks.m[key] = nrec
-		ks.mu.Unlock()
-		repaired++
-		if allLost {
-			lost++
-		}
-	}
-	if m := r.met.Load(); m != nil {
-		m.RepairedKeys.Add(0, int64(repaired))
-		m.LostKeys.Add(0, int64(lost))
-	}
-	return repaired, lost
-}
-
-// repairRec rebuilds a record around its surviving replicas: keep
-// every replica that is live and still resolves, then fill up to the
-// snapshot's target count with the least-loaded candidates not already
-// in the set. Reports whether no replica survived.
-func (t *Snapshot) repairRec(key string, h0 uint64, rec keyRec) (keyRec, bool) {
-	_, drainFiltered := t.replicaTarget(key, h0)
-	var nrec keyRec
-	liveReplicas := 0
-	for i := 0; i < int(rec.n); i++ {
-		s := rec.slots[i]
-		if t.Dead[s] {
-			continue
-		}
-		liveReplicas++ // a draining or captured replica still holds the data
-		if drainFiltered && t.Drain[s] {
-			continue
-		}
-		h := h0
-		if rec.salts[i] != 0 {
-			h = Hash('k', int(rec.salts[i]), key)
-		}
-		if t.Topo.Resolve(h) != s {
-			continue
-		}
-		nrec.slots[nrec.n], nrec.salts[nrec.n] = s, rec.salts[i]
-		nrec.n++
-	}
-	allLost := liveReplicas == 0
-	// The full replacement set, least-loaded first; graft members not
-	// already surviving until the count is met. chooseReplicated and
-	// repairRec agree on the target count by construction (both are
-	// min(R, candidates)).
-	full := t.chooseReplicated(key, h0, nil)
-	if nrec.n > full.n {
-		nrec.n = full.n // replication factor lowered: shed extras
-	}
-	for i := 0; i < int(full.n) && nrec.n < full.n; i++ {
-		s := full.slots[i]
-		dup := false
-		for j := 0; j < int(nrec.n); j++ {
-			if nrec.slots[j] == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			nrec.slots[nrec.n], nrec.salts[nrec.n] = s, full.salts[i]
-			nrec.n++
-		}
-	}
-	return nrec, allLost
 }

@@ -442,3 +442,52 @@ func TestReplicatedAllocFree(t *testing.T) {
 		t.Errorf("Remove+PlaceReplicated allocates %.2f per cycle", avg)
 	}
 }
+
+// TestSingleOwnerRecoveryKeepsKeys: a router that never called
+// SetReplication serves one replica per key, and its recovery passes
+// must write records of that size. Both the crash sequence (remove a
+// server, Repair) and the graceful one (drain, plan and apply the
+// migration) must leave every key readable and every invariant intact.
+func TestSingleOwnerRecoveryKeepsKeys(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		disrupt func(g *Geo, victim string) error
+	}{
+		{"crash+repair", func(g *Geo, victim string) error {
+			if err := g.RemoveServer(victim); err != nil {
+				return err
+			}
+			g.Repair()
+			return nil
+		}},
+		{"drain+migrate", func(g *Geo, victim string) error {
+			if err := g.SetDraining(victim, true); err != nil {
+				return err
+			}
+			g.PlanMigration(0).ApplyAll()
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newTestGeo(t, 16, 2, 2, 42)
+			keys := make([]string, 400)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("so-%d", i)
+				if _, err := g.Place(keys[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.disrupt(g, g.Servers()[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range keys {
+				if _, err := g.LocateAny(key); err != nil {
+					t.Fatalf("key %q lost: %v", key, err)
+				}
+			}
+		})
+	}
+}

@@ -12,6 +12,13 @@
 // and router.Geo (geo.go) the torus metric (grid nearest-site lookup),
 // each as a thin facade.
 //
+// Every key operation runs one pipeline (pipeline.go): resolve the
+// key's d candidates, select its record with the one d-choice rule
+// (Snapshot.choose), and commit it under the key-shard lock with a
+// write-ahead journal append. Scalar and batch calls share the
+// per-key steps; Rebalance, Repair and migration share one audit walk
+// and one record-swap step (reconcile.go).
+//
 // # Concurrency model
 //
 // The membership (server slot tables: names, capacities, dead flags,
@@ -146,7 +153,7 @@ type TopologyChecker interface {
 // data race with every concurrent reader.
 type Snapshot struct {
 	D     int
-	R     int         // replicas per key (1 = single-owner; see SetReplication)
+	R     int         // replicas per key, >= 1 (1 = single-owner; see SetReplication)
 	Names []string    // all ever-added servers (slots are never reused for new names)
 	Caps  []float64   // per-slot capacity (1 unless set)
 	Dead  []bool      // removed servers keep their slot
@@ -186,65 +193,33 @@ func (t *Snapshot) RelLoad(s int32) float64 {
 	return float64(t.Loads[s].Total()) / t.Caps[s]
 }
 
-// Choose runs the d-choice among the key's current candidates and
-// returns the winning slot and choice index. h0 must be
-// Hash('k', 0, key). The snapshot must have at least one live slot.
-// Draining candidates are passed over while a non-draining candidate
-// exists (a drained slot keeps serving the keys it has but takes no
-// new ones).
-func (t *Snapshot) Choose(key string, h0 uint64) (best int32, salt int) {
-	if t.draining > 0 {
-		return t.chooseAvoidDraining(key, h0)
+// setDrain sets slot i's draining mark, keeping the count in step.
+func (t *Snapshot) setDrain(i int32, on bool) {
+	if t.Drain == nil {
+		if !on {
+			return
+		}
+		t.Drain = make([]bool, len(t.Names))
 	}
-	best = t.Topo.Resolve(h0)
-	if t.D == 1 {
-		return best, 0
-	}
-	bestLoad := t.RelLoad(best)
-	for j := 1; j < t.D; j++ {
-		if s := t.Topo.Resolve(Hash('k', j, key)); s != best {
-			if rl := t.RelLoad(s); rl < bestLoad {
-				best, salt, bestLoad = s, j, rl
-			}
+	if t.Drain[i] != on {
+		t.Drain[i] = on
+		if on {
+			t.draining++
+		} else {
+			t.draining--
 		}
 	}
-	return best, salt
 }
 
-// chooseAvoidDraining is Choose for snapshots with draining slots: the
-// same least-relative-load scan restricted to non-draining candidates,
-// falling back to the unrestricted rule when every candidate drains.
-func (t *Snapshot) chooseAvoidDraining(key string, h0 uint64) (best int32, salt int) {
-	best = -1
-	var bestLoad float64
-	for j := 0; j < t.D; j++ {
-		h := h0
-		if j > 0 {
-			h = Hash('k', j, key)
-		}
-		s := t.Topo.Resolve(h)
-		if t.Drain[s] || s == best {
-			continue
-		}
-		if rl := t.RelLoad(s); best < 0 || rl < bestLoad {
-			best, salt, bestLoad = s, j, rl
+// liveCapSum totals the live slots' capacities.
+func (t *Snapshot) liveCapSum() float64 {
+	var sum float64
+	for i, dead := range t.Dead {
+		if !dead {
+			sum += t.Caps[i]
 		}
 	}
-	if best >= 0 {
-		return best, salt
-	}
-	// Every candidate is draining: place anyway (the alternative is
-	// refusing the key), using the unrestricted comparison.
-	best, salt = t.Topo.Resolve(h0), 0
-	bestLoad = t.RelLoad(best)
-	for j := 1; j < t.D; j++ {
-		if s := t.Topo.Resolve(Hash('k', j, key)); s != best {
-			if rl := t.RelLoad(s); rl < bestLoad {
-				best, salt, bestLoad = s, j, rl
-			}
-		}
-	}
-	return best, salt
+	return sum
 }
 
 // clone copies the slot tables (sharing the counter pointers and the
@@ -285,13 +260,6 @@ type keyRec struct {
 	slots [MaxReplicas]int32
 }
 
-// singleRec builds the n=1 record the pre-replication router kept.
-func singleRec(salt int, server int32) keyRec {
-	rec := keyRec{n: 1}
-	rec.salts[0], rec.slots[0] = int8(salt), server
-	return rec
-}
-
 // addLoads adjusts every replica's load counter (and the fleet-wide
 // total the bounded-load mean is computed from) by delta.
 func (rec *keyRec) addLoads(t *Snapshot, h0 uint64, delta int64) {
@@ -322,7 +290,7 @@ type Router struct {
 	met   atomic.Pointer[Metrics]     // nil when uninstrumented (see metrics.go)
 	jl    atomic.Pointer[journal.Log] // nil when durability is off (see journal.go)
 	nkeys atomic.Int64
-	bpool sync.Pool // *batchScratch, reused across batch calls (batch.go)
+	bpool sync.Pool // *batchScratch, reused across batch calls (pipeline.go)
 	keys  [keyShardCount]keyShard
 }
 
@@ -337,7 +305,7 @@ func New(name string, d int) (*Router, error) {
 	for i := range r.keys {
 		r.keys[i].m = make(map[string]keyRec)
 	}
-	r.snap.Store(&Snapshot{D: d, name: name, index: make(map[string]int32), Total: &SlotLoad{}})
+	r.snap.Store(&Snapshot{D: d, R: 1, name: name, index: make(map[string]int32), Total: &SlotLoad{}})
 	return r, nil
 }
 
@@ -400,10 +368,7 @@ func (tx *Txn) AddWithCapacity(name string, capacity float64) (int32, error) {
 		}
 		t.Dead[i] = false
 		t.Caps[i] = capacity
-		if t.Drain != nil && t.Drain[i] {
-			t.Drain[i] = false
-			t.draining--
-		}
+		t.setDrain(i, false)
 		t.Live++
 		return i, nil
 	}
@@ -432,10 +397,7 @@ func (tx *Txn) Remove(name string) (int32, error) {
 		return 0, fmt.Errorf("%s: cannot remove the last server", t.name)
 	}
 	t.Dead[i] = true
-	if t.Drain != nil && t.Drain[i] {
-		t.Drain[i] = false
-		t.draining--
-	}
+	t.setDrain(i, false)
 	t.Live--
 	return i, nil
 }
@@ -490,213 +452,6 @@ func (r *Router) Servers() []string {
 // hash (also reused as the load-counter shard selector).
 func (r *Router) keyShardFor(h0 uint64) *keyShard {
 	return &r.keys[h0&(keyShardCount-1)]
-}
-
-// place runs the shared placement path: choose the record (one owner
-// when R == 1, the top-R distinct candidates otherwise), charge the
-// load counters, and store it. Returns the snapshot the choice was
-// made against and the stored record.
-func (r *Router) place(key string) (*Snapshot, keyRec, error) {
-	h0 := Hash('k', 0, key)
-	ks := r.keyShardFor(h0)
-	ks.mu.Lock()
-	t := r.snap.Load()
-	if t.Live == 0 {
-		ks.mu.Unlock()
-		return nil, keyRec{}, fmt.Errorf("%s: no servers", r.name)
-	}
-	if _, dup := ks.m[key]; dup {
-		ks.mu.Unlock()
-		return nil, keyRec{}, fmt.Errorf("%s: key %q already placed", r.name, key)
-	}
-	var (
-		rec     keyRec
-		skipped int
-	)
-	if t.Bound > 0 {
-		var (
-			overshoot float64
-			ok        bool
-		)
-		rec, skipped, overshoot, ok = t.chooseBounded(key, h0)
-		if !ok {
-			ks.mu.Unlock()
-			if m := r.met.Load(); m != nil {
-				m.Rejects.Inc(h0)
-				if skipped > 0 {
-					m.Forwards.Add(h0, int64(skipped))
-				}
-			}
-			return nil, keyRec{}, &OverloadedError{
-				Router: r.name, Key: key, RetryAfter: retryAfter(overshoot),
-			}
-		}
-	} else if t.R <= 1 {
-		best, salt := t.Choose(key, h0)
-		rec = singleRec(salt, best)
-	} else {
-		rec = t.chooseReplicated(key, h0, nil)
-	}
-	if lg := r.jl.Load(); lg != nil {
-		// Write-ahead: the record must be durable before the placement
-		// becomes visible, so every acked placement survives a crash.
-		if err := lg.Append(journal.Entry{Op: journal.OpPlace, Name: key, Rec: recToJournal(rec)}); err != nil {
-			ks.mu.Unlock()
-			return nil, keyRec{}, fmt.Errorf("%s: journal: %w", r.name, err)
-		}
-	}
-	rec.addLoads(t, h0, 1)
-	ks.m[key] = rec
-	ks.mu.Unlock()
-	r.nkeys.Add(1)
-	if m := r.met.Load(); m != nil {
-		m.Places.Inc(h0)
-		if skipped > 0 {
-			m.Forwards.Add(h0, int64(skipped))
-		}
-	}
-	return t, rec, nil
-}
-
-// Place assigns a key to the least-loaded of its d candidate servers
-// (and, when replication is configured, mirrors it onto the next R-1
-// least-loaded distinct candidates) and returns the primary server
-// name. Placing an already-placed key is an error (keys are sticky;
-// see Locate). Safe for concurrent use; the candidate set is resolved
-// against one membership snapshot, loaded under the key-shard lock so
-// a Rebalance that already visited this shard cannot race an older
-// snapshot in. A Place overlapping a membership removal may still
-// record the just-removed server (the snapshots are deliberately
-// wait-free); such keys are orphaned exactly like keys stranded by the
-// removal itself and re-homed by the next Rebalance or Repair.
-// With bounded-load admission active (SetBoundedLoad), a key whose
-// candidates are all saturated is NOT placed and the error wraps
-// ErrOverloaded.
-func (r *Router) Place(key string) (string, error) {
-	t, rec, err := r.place(key)
-	if err != nil {
-		return "", err
-	}
-	return t.Names[rec.slots[0]], nil
-}
-
-// Locate returns the primary server currently recorded for a placed
-// key, dead or not — it reads only the record. Failover reads that
-// skip dead and draining replicas are LocateAny.
-func (r *Router) Locate(key string) (string, error) {
-	h0 := Hash('k', 0, key)
-	ks := r.keyShardFor(h0)
-	ks.mu.RLock()
-	rec, ok := ks.m[key]
-	ks.mu.RUnlock()
-	if !ok {
-		return "", fmt.Errorf("%s: key %q not placed", r.name, key)
-	}
-	if m := r.met.Load(); m != nil {
-		m.Locates.Inc(h0)
-	}
-	return r.snap.Load().Names[rec.slots[0]], nil
-}
-
-// Remove deletes a placed key from every replica.
-func (r *Router) Remove(key string) error {
-	h0 := Hash('k', 0, key)
-	ks := r.keyShardFor(h0)
-	ks.mu.Lock()
-	rec, ok := ks.m[key]
-	if !ok {
-		ks.mu.Unlock()
-		return fmt.Errorf("%s: key %q not placed", r.name, key)
-	}
-	if lg := r.jl.Load(); lg != nil {
-		if err := lg.Append(journal.Entry{Op: journal.OpRemoveKey, Name: key}); err != nil {
-			ks.mu.Unlock()
-			return fmt.Errorf("%s: journal: %w", r.name, err)
-		}
-	}
-	delete(ks.m, key)
-	t := r.snap.Load()
-	rec.addLoads(t, h0, -1)
-	ks.mu.Unlock()
-	r.nkeys.Add(-1)
-	if m := r.met.Load(); m != nil {
-		m.Removes.Inc(h0)
-	}
-	return nil
-}
-
-// Rebalance restores the placement invariant after membership changes:
-// every replica must live at the owner of its recorded hash choice and
-// every key must carry the configured replica count; keys with a
-// replica on a dead server or a captured region are re-placed on their
-// least-loaded current candidates. Returns the number of keys moved.
-// (Repair is the cheaper pass that replaces only lost replicas while
-// leaving healthy ones in place; Rebalance re-chooses the whole set.)
-// Keys are processed in sorted order, so at quiescence the result is
-// deterministic. Concurrent Place/Remove during a Rebalance are safe
-// but may leave freshly placed keys for the NEXT Rebalance to repair
-// (a placement racing a membership change can land on a stale
-// candidate; see Place).
-func (r *Router) Rebalance() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := r.snap.Load()
-	if t.Live == 0 {
-		return 0
-	}
-	names := make([]string, 0, r.nkeys.Load())
-	for i := range r.keys {
-		ks := &r.keys[i]
-		ks.mu.RLock()
-		for k := range ks.m {
-			names = append(names, k)
-		}
-		ks.mu.RUnlock()
-	}
-	sort.Strings(names)
-	lg := r.jl.Load()
-	moved := 0
-	for _, key := range names {
-		h0 := Hash('k', 0, key)
-		ks := r.keyShardFor(h0)
-		ks.mu.Lock()
-		rec, ok := ks.m[key]
-		if !ok { // removed while we walked the shards
-			ks.mu.Unlock()
-			continue
-		}
-		if t.recValid(key, h0, rec) {
-			ks.mu.Unlock()
-			continue
-		}
-		// A recorded candidate no longer resolves to its recorded
-		// server (a join captured the region, or the server left), or
-		// the replica count no longer matches the configured factor:
-		// re-run the choice among current candidates.
-		var nrec keyRec
-		if t.R <= 1 {
-			best, salt := t.Choose(key, h0)
-			nrec = singleRec(salt, best)
-		} else {
-			nrec = t.chooseReplicated(key, h0, nil)
-		}
-		if lg != nil {
-			// Async: a lost tail update re-homes on the next pass.
-			if err := lg.AppendAsync(journal.Entry{Op: journal.OpUpdateRec, Name: key, Rec: recToJournal(nrec)}); err != nil {
-				ks.mu.Unlock()
-				continue // journal dead: leave the record as journaled
-			}
-		}
-		rec.addLoads(t, h0, -1)
-		nrec.addLoads(t, h0, 1)
-		ks.m[key] = nrec
-		ks.mu.Unlock()
-		moved++
-	}
-	if m := r.met.Load(); m != nil {
-		m.RebalancedKeys.Add(0, int64(moved))
-	}
-	return moved
 }
 
 // Loads returns a map of live server name to current key count,
@@ -758,12 +513,15 @@ func (r *Router) CheckInvariants() error {
 	defer r.mu.Unlock()
 	t := r.snap.Load()
 	counts := make([]int64, len(t.Names))
-	var total, reps int64
+	var (
+		total, reps int64
+		cb          [MaxChoices]int32
+	)
 	for i := range r.keys {
 		ks := &r.keys[i]
 		ks.mu.RLock()
 		for key, rec := range ks.m {
-			if err := t.checkRec(key, rec); err != nil {
+			if _, _, err := t.audit(key, Hash('k', 0, key), rec, nil, &cb); err != nil {
 				ks.mu.RUnlock()
 				return err
 			}
@@ -791,13 +549,7 @@ func (r *Router) CheckInvariants() error {
 	if got := t.Total.Total(); got != reps {
 		return fmt.Errorf("total load counter %d != %d placed replicas", got, reps)
 	}
-	var capSum float64
-	for i := range t.Names {
-		if !t.Dead[i] {
-			capSum += t.Caps[i]
-		}
-	}
-	if math.Abs(capSum-t.CapSum) > 1e-6*(1+capSum) {
+	if capSum := t.liveCapSum(); math.Abs(capSum-t.CapSum) > 1e-6*(1+capSum) {
 		return fmt.Errorf("capacity sum %v != live capacities %v", t.CapSum, capSum)
 	}
 	if t.Bound != 0 && !(t.Bound > 1) {

@@ -214,3 +214,51 @@ func TestCoreServersSorted(t *testing.T) {
 		t.Fatal("NumServers/Choices wrong")
 	}
 }
+
+// tableTopo resolves the hashes it lists to fixed slots, anything else
+// to slot 0.
+type tableTopo map[uint64]int32
+
+func (t tableTopo) Resolve(h uint64) int32 { return t[h] }
+
+// TestReplicatedTiesFollowChoiceOrder pins the documented tie rule of
+// replicated selection: equally loaded candidates rank by choice index.
+// With candidate loads [1, 1, 0] and R=2 the record is choices {2, 0}.
+func TestReplicatedTiesFollowChoiceOrder(t *testing.T) {
+	topo := tableTopo{}
+	route := func(key string, slots ...int32) {
+		for j, s := range slots {
+			topo[Hash('k', j, key)] = s
+		}
+	}
+	route("load-a", 0, 0, 0)
+	route("load-b", 1, 1, 1)
+	route("tie", 0, 1, 2)
+	r, err := New("stub", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if err := r.Update(func(tx *Txn) (Topology, error) {
+			_, err := tx.Add(name)
+			return topo, err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.SetReplication(2); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"load-a", "load-b", "tie"} {
+		if _, err := r.Place(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owners, err := r.Owners("tie", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(owners) != "[c a]" {
+		t.Fatalf("tie placed on %v, want [c a] (choices 2 then 0)", owners)
+	}
+}
