@@ -103,7 +103,7 @@ func TestSnapshotConsistencyUnderChurn(t *testing.T) {
 			defer readers.Done()
 			rr := rng.NewStream(99, uint64(w))
 			for i := 0; i < 3000; i++ {
-				snap := r.rt.Snapshot()
+				snap := r.Snapshot()
 				if err := checkSnapshot(snap); err != nil {
 					errc <- fmt.Errorf("reader %d iter %d: %w", w, i, err)
 					return
@@ -307,7 +307,7 @@ func TestReadPathAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("Locate allocates %v per run; want 0", got)
 	}
-	snap := r.rt.Snapshot()
+	snap := r.Snapshot()
 	if got := testing.AllocsPerRun(200, func() {
 		for j := 0; j < snap.D; j++ {
 			snap.Topo.Resolve(router.Hash('k', j, "key-37"))
@@ -388,7 +388,7 @@ func FuzzMembershipOps(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			if err := checkSnapshot(r.rt.Snapshot()); err != nil {
+			if err := checkSnapshot(r.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 		}

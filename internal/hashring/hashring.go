@@ -23,7 +23,9 @@
 // Place/Locate/Remove and their batch forms, Rebalance/Repair and
 // journal replay — is the space-agnostic serving core in
 // internal/router, shared verbatim with the torus-backed router.Geo.
-// The Ring methods forward to it.
+// Ring embeds the core's *router.Router, so those methods are the
+// core's own, and keeps the router.Membership handle through which it
+// publishes each membership change with its rebuilt ring topology.
 //
 // # Concurrency model
 //
@@ -63,7 +65,6 @@ import (
 
 	"geobalance/internal/journal"
 	"geobalance/internal/jump"
-	"geobalance/internal/metrics"
 	"geobalance/internal/router"
 )
 
@@ -185,7 +186,8 @@ func WithChoices(d int) Option {
 // WithReplicas sets ring positions per server (default 1, the paper's
 // single-point model; production consistent hashing often uses more —
 // the Chord "virtual servers" remedy this library's d-choices makes
-// unnecessary, kept for comparison).
+// unnecessary, kept for comparison). Distinct from SetReplication,
+// which sets how many servers hold each key.
 func WithReplicas(k int) Option {
 	return func(c *config) error {
 		if k < 1 {
@@ -199,9 +201,12 @@ func WithReplicas(k int) Option {
 // Ring is a concurrent consistent-hashing ring with d-choice placement.
 // Lookups (Place, Locate, Remove) may run from any number of goroutines
 // concurrently with each other and with membership changes; membership
-// ops and Rebalance serialize among themselves.
+// ops and Rebalance serialize among themselves. The serving,
+// replication, bounded-load, migration and metrics methods are the
+// embedded router.Router's.
 type Ring struct {
-	rt       *router.Router
+	*router.Router
+	m        *router.Membership
 	replicas int
 }
 
@@ -214,11 +219,11 @@ func New(servers []string, opts ...Option) (*Ring, error) {
 			return nil, err
 		}
 	}
-	rt, err := router.New("hashring", cfg.d)
+	rt, m, err := router.New("hashring", cfg.d)
 	if err != nil {
 		return nil, err
 	}
-	r := &Ring{rt: rt, replicas: cfg.replicas}
+	r := &Ring{Router: rt, m: m, replicas: cfg.replicas}
 	for _, s := range servers {
 		if err := r.AddServer(s); err != nil {
 			return nil, err
@@ -242,7 +247,7 @@ func (r *Ring) AddServer(name string) error { return r.addServer(name, 1) }
 // restores captured capacities through it).
 func (r *Ring) addServer(name string, capacity float64) error {
 	e := journal.Entry{Op: journal.OpAddServer, Name: name, Value: capacity}
-	return r.rt.UpdateJournaled(e, func(tx *router.Txn) (router.Topology, error) {
+	return r.m.Update(e, func(tx *router.Txn) (router.Topology, error) {
 		if _, err := tx.AddWithCapacity(name, capacity); err != nil {
 			return nil, err
 		}
@@ -255,150 +260,10 @@ func (r *Ring) addServer(name string, capacity float64) error {
 // is an error.
 func (r *Ring) RemoveServer(name string) error {
 	e := journal.Entry{Op: journal.OpRemoveServer, Name: name}
-	return r.rt.UpdateJournaled(e, func(tx *router.Txn) (router.Topology, error) {
+	return r.m.Update(e, func(tx *router.Txn) (router.Topology, error) {
 		if _, err := tx.Remove(name); err != nil {
 			return nil, err
 		}
 		return r.rebuild(tx), nil
 	})
 }
-
-// SetCapacity declares a server's relative capacity (default 1); the
-// d-choice comparison then uses load/capacity, so a capacity-2 server
-// accepts twice the keys of a capacity-1 server before losing ties.
-func (r *Ring) SetCapacity(name string, capacity float64) error {
-	return r.rt.SetCapacity(name, capacity)
-}
-
-// SetBoundedLoad enables (c > 1) or disables (c == 0) bounded-load
-// admission: placements forward past candidates above c times the
-// capacity-relative mean load and fail with router.ErrOverloaded when
-// every candidate is saturated; see router.Router.SetBoundedLoad.
-func (r *Ring) SetBoundedLoad(c float64) error { return r.rt.SetBoundedLoad(c) }
-
-// BoundedLoad returns the active bounded-load factor (0 = off).
-func (r *Ring) BoundedLoad() float64 { return r.rt.BoundedLoad() }
-
-// MeanRelLoad returns the capacity-relative mean load; see
-// router.Router.MeanRelLoad.
-func (r *Ring) MeanRelLoad() float64 { return r.rt.MeanRelLoad() }
-
-// MaxRelLoad returns the largest load/capacity ratio over live
-// servers; see router.Router.MaxRelLoad.
-func (r *Ring) MaxRelLoad() float64 { return r.rt.MaxRelLoad() }
-
-// SetReplication sets the replicas-per-key factor: each key is pinned
-// to the top-r of its d ring candidates; see
-// router.Router.SetReplication. Distinct from VirtualNodes, which
-// multiplies a server's ring positions.
-func (r *Ring) SetReplication(rep int) error { return r.rt.SetReplication(rep) }
-
-// Replication returns the configured replicas-per-key factor.
-func (r *Ring) Replication() int { return r.rt.Replication() }
-
-// SetDraining marks a server draining (serving reads, refusing new
-// keys) or clears the mark; see router.Router.SetDraining.
-func (r *Ring) SetDraining(name string, draining bool) error {
-	return r.rt.SetDraining(name, draining)
-}
-
-// PlaceReplicated is Place returning the replica count alongside the
-// primary; see router.Router.PlaceReplicated.
-func (r *Ring) PlaceReplicated(key string) (string, int, error) {
-	return r.rt.PlaceReplicated(key)
-}
-
-// LocateAny returns a live server holding the key, failing over past
-// dead or draining replicas; see router.Router.LocateAny.
-func (r *Ring) LocateAny(key string) (string, error) { return r.rt.LocateAny(key) }
-
-// Owners appends the key's recorded replica owners to dst; see
-// router.Router.Owners.
-func (r *Ring) Owners(key string, dst []string) ([]string, error) {
-	return r.rt.Owners(key, dst)
-}
-
-// Repair replaces the replicas lost to failures while leaving healthy
-// replicas in place; see router.Router.Repair.
-func (r *Ring) Repair() (repaired, lost int) { return r.rt.Repair() }
-
-// PlanMigration computes the write-log of key moves that would restore
-// the placement invariants; see router.Router.PlanMigration.
-func (r *Ring) PlanMigration(limit int) *router.MigrationPlan {
-	return r.rt.PlanMigration(limit)
-}
-
-// SetMetrics attaches (or detaches) an instrument set; see
-// router.Router.SetMetrics.
-func (r *Ring) SetMetrics(m *router.Metrics) { r.rt.SetMetrics(m) }
-
-// RegisterSlotLoads registers the scrape-time load collectors; see
-// router.Router.RegisterSlotLoads.
-func (r *Ring) RegisterSlotLoads(reg *metrics.Registry) { r.rt.RegisterSlotLoads(reg) }
-
-// Instrument builds, attaches, and registers the full instrument set;
-// see router.Router.Instrument.
-func (r *Ring) Instrument(reg *metrics.Registry) *router.Metrics { return r.rt.Instrument(reg) }
-
-// NumServers returns the number of live servers.
-func (r *Ring) NumServers() int { return r.rt.NumServers() }
-
-// Servers returns the live server names in sorted order.
-func (r *Ring) Servers() []string { return r.rt.Servers() }
-
-// Choices returns the configured number of hash choices per key.
-func (r *Ring) Choices() int { return r.rt.Choices() }
-
-// Place assigns a key to the least-loaded of its d candidate servers
-// and returns the server name. Placing an already-placed key is an
-// error (keys are sticky; see Locate). Safe for concurrent use; see
-// router.Router.Place for the exact racing-membership semantics.
-func (r *Ring) Place(key string) (string, error) { return r.rt.Place(key) }
-
-// Locate returns the server currently holding a placed key.
-func (r *Ring) Locate(key string) (string, error) { return r.rt.Locate(key) }
-
-// Remove deletes a placed key.
-func (r *Ring) Remove(key string) error { return r.rt.Remove(key) }
-
-// Rebalance restores the placement invariant after membership changes:
-// every key must live at the owner of its recorded hash choice; keys on
-// dead servers or captured arcs are re-placed at their least-loaded
-// current candidate. Returns the number of keys moved. See
-// router.Router.Rebalance for the concurrency contract.
-func (r *Ring) Rebalance() int { return r.rt.Rebalance() }
-
-// Loads returns a map of live server name to current key count, folding
-// the counter shards on demand.
-func (r *Ring) Loads() map[string]int64 { return r.rt.Loads() }
-
-// LoadsInto clears m and fills it with live server name -> key count
-// without allocating once m has grown to the membership size — the
-// reporting-loop counterpart of Loads.
-func (r *Ring) LoadsInto(m map[string]int64) { r.rt.LoadsInto(m) }
-
-// MaxLoad returns the largest key count over live servers.
-func (r *Ring) MaxLoad() int64 { return r.rt.MaxLoad() }
-
-// NumKeys returns the number of placed keys.
-func (r *Ring) NumKeys() int { return r.rt.NumKeys() }
-
-// PlaceBatch places a block of keys through the bulk serving path —
-// one snapshot load, one jump-index block resolve, one shard lock
-// round, one journal group commit; see router.Router.PlaceBatch.
-func (r *Ring) PlaceBatch(keys []string, out []router.BatchResult) { r.rt.PlaceBatch(keys, out) }
-
-// LocateBatch looks up a block of placed keys; see
-// router.Router.LocateBatch.
-func (r *Ring) LocateBatch(keys []string, out []router.BatchResult) { r.rt.LocateBatch(keys, out) }
-
-// RemoveBatch deletes a block of placed keys; see
-// router.Router.RemoveBatch.
-func (r *Ring) RemoveBatch(keys []string, out []router.BatchResult) { r.rt.RemoveBatch(keys, out) }
-
-// CheckInvariants verifies internal consistency; exported for tests.
-// Call it at quiescence (no Place/Remove in flight); membership changes
-// are excluded by its own locking. After membership churn, run
-// Rebalance first — keys legitimately sit on captured arcs or dead
-// servers until then.
-func (r *Ring) CheckInvariants() error { return r.rt.CheckInvariants() }

@@ -1,8 +1,8 @@
-// Durability for the ring facade: the write-ahead journal hook and
-// the recovery constructor. The mechanics live in internal/journal
-// and the serving core's journal.go (Router.Replay); this file only
-// supplies the ring-shaped header and the membership ops replay
-// drives. Unlike the geo facade, ring
+// Durability for the ring facade: the write-ahead journal hook, the
+// recovery constructor and the in-place restart. The mechanics live in
+// internal/journal and the serving core's journal.go
+// (router.Membership); this file only supplies the ring-shaped header
+// and the membership ops replay drives. Unlike the geo facade, ring
 // membership entries carry no coordinates — server positions are a
 // pure function of the name, so replaying the adds reproduces the
 // ring bit-for-bit.
@@ -12,23 +12,38 @@ import (
 	"fmt"
 
 	"geobalance/internal/journal"
+	"geobalance/internal/router"
 )
+
+// header is the ring's journal header.
+func (r *Ring) header() journal.Header {
+	return journal.Header{Kind: "ring", D: r.Choices(), Replicas: r.replicas}
+}
 
 // StartJournal makes the ring durable: it creates a journal in dir
 // (replacing any prior journal there) seeded with the full current
 // state, attaches it, and records every subsequent mutation. Recover
-// the ring with Recover.
+// the ring with Recover, or in place with Restart.
 func (r *Ring) StartJournal(dir string, opts journal.Options) (*journal.Log, error) {
-	hdr := journal.Header{Kind: "ring", D: r.rt.Choices(), Replicas: r.replicas}
-	return r.rt.StartJournal(dir, hdr, nil, opts)
+	return r.m.StartJournal(dir, r.header(), nil, opts)
 }
 
 // CompactJournal folds the journal's WAL into a fresh snapshot; see
-// router.Router.CompactJournal.
-func (r *Ring) CompactJournal() error { return r.rt.CompactJournal(nil) }
+// router.Membership.CompactJournal.
+func (r *Ring) CompactJournal() error { return r.m.CompactJournal(nil) }
 
-// Journal returns the attached journal (nil when durability is off).
-func (r *Ring) Journal() *journal.Log { return r.rt.Journal() }
+// Restart crashes the ring and recovers it in place from its attached
+// journal through Recover; see router.Membership.Restart. opts
+// configures the recovered journal.
+func (r *Ring) Restart(opts journal.Options) (*journal.Recovered, error) {
+	return r.m.Restart(r.header(), func(dir string) (*router.Router, *journal.Recovered, error) {
+		fresh, rec, err := Recover(dir, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return fresh.Router, rec, nil
+	})
+}
 
 // Recover rebuilds a ring from the journal in dir — snapshot plus WAL
 // replay — and returns it with the journal attached and positioned to
@@ -47,13 +62,13 @@ func Recover(dir string, opts journal.Options) (*Ring, *journal.Recovered, error
 	} else if rg, err = New(nil, WithChoices(rec.Header.D), WithReplicas(rec.Header.Replicas)); err != nil {
 		err = &journal.CorruptError{Reason: err.Error()}
 	} else {
-		err = rg.rt.Replay(rec.Entries, rg.replayAdd, rg.RemoveServer)
+		err = rg.m.Replay(rec.Entries, rg.replayAdd, rg.RemoveServer)
 	}
 	if err != nil {
 		lg.Close()
 		return nil, nil, err
 	}
-	rg.rt.SetJournal(lg)
+	rg.m.SetJournal(lg)
 	return rg, rec, nil
 }
 

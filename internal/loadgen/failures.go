@@ -33,9 +33,9 @@ import (
 // remaining capacity then either snowball onto it (no admission
 // control) or get steered away and shed (bounded load + retries).
 // A "kill" is a whole-router crash, the durability lab's scenario: the
-// router process dies mid-traffic and is rebuilt from its write-ahead
-// journal (snapshot + WAL replay); it takes no fraction and requires
-// the run to have a journal attached (Config.JournalDir).
+// router process dies mid-traffic and is rebuilt in place from its
+// write-ahead journal (snapshot + WAL replay); it takes no fraction and
+// requires the run to have a journal attached (Config.JournalDir).
 const (
 	FailLeave   = "leave"
 	FailCrash   = "crash"
@@ -168,11 +168,10 @@ func (f *FailureOutcome) String() string {
 // firing order. Victim selection draws from its own rng stream
 // (1<<34), so the script is deterministic given (Config, Seed) and
 // independent of the churner and the workers.
-func runFailures(target churnTarget, cfg *Config, lm *LoadMetrics,
-	model *serviceModel, caps map[string]float64, stop <-chan struct{}) []FailureOutcome {
-	script := append(FailureScript(nil), cfg.Failures...)
+func (h *harness) runFailures(stop <-chan struct{}) []FailureOutcome {
+	script := append(FailureScript(nil), h.cfg.Failures...)
 	sort.SliceStable(script, func(i, j int) bool { return script[i].After < script[j].After })
-	fr := rng.NewStream(cfg.Seed, 1<<34)
+	fr := rng.NewStream(h.cfg.Seed, 1<<34)
 	start := time.Now()
 	outcomes := make([]FailureOutcome, 0, len(script))
 	for _, ev := range script {
@@ -185,32 +184,29 @@ func runFailures(target churnTarget, cfg *Config, lm *LoadMetrics,
 			case <-t.C:
 			}
 		}
-		outcomes = append(outcomes, fireFailure(target, ev, fr, model, caps))
-		if lm != nil {
-			lm.FailureEvents.Inc(0)
+		outcomes = append(outcomes, h.fireFailure(ev, fr))
+		if h.lm != nil {
+			h.lm.FailureEvents.Inc(0)
 		}
 	}
 	return outcomes
 }
 
 // fireFailure executes one event against the live fleet.
-func fireFailure(target churnTarget, ev FailureEvent, fr *rng.Rand,
-	model *serviceModel, caps map[string]float64) FailureOutcome {
+func (h *harness) fireFailure(ev FailureEvent, fr *rng.Rand) FailureOutcome {
+	target := h.target
 	out := FailureOutcome{Kind: ev.Kind, At: ev.After}
 	if ev.Kind == FailKill {
-		// Whole-router crash and journal recovery; only runs with a
-		// journal attached, which is exactly when Run wraps the target.
-		w, ok := target.(*restartableTarget)
-		if !ok {
-			out.Err = "no journal attached"
-			return out
-		}
-		replayed, err := w.kill()
+		// Whole-router crash, recovered in place from the journal:
+		// traffic blocked on the restart resumes against the recovered
+		// state. On a failed recovery the router keeps its state and
+		// the run keeps serving.
+		rec, err := target.Restart(h.jopts)
 		if err != nil {
 			out.Err = err.Error()
 			return out
 		}
-		out.Replayed = replayed
+		out.Replayed = len(rec.Entries)
 		// Standard post-crash discipline: re-home anything the replayed
 		// state left under-replicated, then tighten placement.
 		out.Repaired, out.Lost = target.Repair()
@@ -228,16 +224,16 @@ func fireFailure(target churnTarget, ev FailureEvent, fr *rng.Rand,
 		// placement steers away) and the service model's rate (so ops
 		// still routed there queue up).
 		for _, name := range victims {
-			c := caps[name]
+			c := h.caps[name]
 			if c <= 0 {
 				c = 1
 			}
 			c *= cascadeSlash
 			if target.SetCapacity(name, c) == nil {
-				caps[name] = c
+				h.caps[name] = c
 				out.Slowed = append(out.Slowed, name)
-				if model != nil {
-					model.setCapacity(name, c)
+				if h.model != nil {
+					h.model.setCapacity(name, c)
 				}
 			}
 		}
@@ -266,7 +262,7 @@ func fireFailure(target churnTarget, ev FailureEvent, fr *rng.Rand,
 		}
 	}
 	for _, name := range victims {
-		if target.removeServer(name) == nil {
+		if target.RemoveServer(name) == nil {
 			out.Killed = append(out.Killed, name)
 		}
 	}
@@ -281,29 +277,19 @@ type regionTarget interface {
 	ServersInRegion(lo, hi geom.Vec) []string
 }
 
-// asRegionTarget unwraps the target's geometry surface, looking through
-// the crash-recovery wrapper when a journal is attached.
-func asRegionTarget(target churnTarget) (regionTarget, bool) {
-	if w, ok := target.(*restartableTarget); ok {
-		return w.region()
-	}
-	gt, ok := target.(regionTarget)
-	return gt, ok
-}
-
 // pickVictims selects the event's casualties from the current live
 // fleet, always leaving at least one server standing. A zone event on
 // the torus kills the servers inside a random box whose volume is the
 // requested fraction; everything else (and a zone on the ring) samples
 // uniformly without replacement.
-func pickVictims(target churnTarget, ev FailureEvent, fr *rng.Rand) []string {
+func pickVictims(target Target, ev FailureEvent, fr *rng.Rand) []string {
 	servers := target.Servers()
 	if len(servers) < 2 {
 		return nil
 	}
 	maxKill := len(servers) - 1
 	if ev.Kind == FailZone || ev.Kind == FailCascade {
-		if gt, ok := asRegionTarget(target); ok {
+		if gt, ok := target.(regionTarget); ok {
 			dim := gt.Dim()
 			side := math.Pow(ev.Frac, 1/float64(dim))
 			lo := make(geom.Vec, dim)

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"geobalance/internal/router"
 )
 
 func TestParseFailureScript(t *testing.T) {
@@ -55,7 +57,7 @@ func TestTorusReplicasLifted(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("%d op errors", res.Errors)
 	}
-	if got := res.Router.(geoTarget).Replication(); got != 3 {
+	if got := res.Router.(*router.Geo).Replication(); got != 3 {
 		t.Fatalf("router replication = %d, want 3", got)
 	}
 	if err := res.Router.CheckInvariants(); err != nil {

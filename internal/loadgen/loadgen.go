@@ -5,12 +5,13 @@
 // churner that adds and removes servers (with Rebalance) while the
 // workers run.
 //
-// Since the serving-layer split the harness drives ANY router built on
-// internal/router's core, selected by Config.Space: the ring-backed
-// hashring facade (the default) or the torus-backed geographic router
-// router.Geo, whose churned servers join at random torus coordinates.
-// The Target interface is the method set the harness needs; both
-// facades satisfy it.
+// The harness drives any router built on internal/router's core,
+// selected by Config.Space: the ring-backed hashring facade (the
+// default) or the torus-backed geographic router router.Geo, whose
+// churned servers join at random torus coordinates. The Target
+// interface is the method set the harness needs; both facades satisfy
+// it. Run builds and preloads the router, drives the traffic (one
+// worker loop and one op path, worker.go), and audits the result.
 //
 // Each worker draws from its own deterministic rng stream
 // (rng.NewStream(seed, worker)), keeps its own latency histograms, and
@@ -20,13 +21,11 @@
 package loadgen
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"geobalance/internal/geom"
@@ -41,7 +40,9 @@ import (
 
 // Target is the serving surface the harness drives: the method set
 // shared by hashring.Ring and router.Geo, including the replication,
-// failover, and live-migration surface the failure scripts exercise.
+// failover, live-migration and durability surface the failure scripts
+// exercise. A kill event restarts the router in place (Restart), so
+// the harness drives the same router object from start to finish.
 type Target interface {
 	Place(key string) (string, error)
 	Locate(key string) (string, error)
@@ -51,6 +52,7 @@ type Target interface {
 	PlaceBatch(keys []string, out []router.BatchResult)
 	LocateBatch(keys []string, out []router.BatchResult)
 	RemoveBatch(keys []string, out []router.BatchResult)
+	RemoveServer(name string) error
 	Rebalance() int
 	Repair() (repaired, lost int)
 	SetReplication(rep int) error
@@ -61,6 +63,9 @@ type Target interface {
 	MaxRelLoad() float64
 	PlanMigration(limit int) *router.MigrationPlan
 	Instrument(reg *metrics.Registry) *router.Metrics
+	StartJournal(dir string, opts journal.Options) (*journal.Log, error)
+	Restart(opts journal.Options) (*journal.Recovered, error)
+	CloseJournal() error
 	Servers() []string
 	NumKeys() int
 	NumServers() int
@@ -68,35 +73,6 @@ type Target interface {
 	LoadsInto(map[string]int64)
 	CheckInvariants() error
 }
-
-// churnTarget extends Target with the membership ops the churner
-// needs; the coordinate-space routers differ in what a join requires
-// (the ring derives a position from the name, the torus needs
-// coordinates), so joins take the churner's rng.
-type churnTarget interface {
-	Target
-	addServer(name string, r *rng.Rand) error
-	removeServer(name string) error
-}
-
-// ringTarget adapts hashring.Ring.
-type ringTarget struct{ *hashring.Ring }
-
-func (t ringTarget) addServer(name string, _ *rng.Rand) error { return t.AddServer(name) }
-func (t ringTarget) removeServer(name string) error           { return t.RemoveServer(name) }
-
-// geoTarget adapts router.Geo: churned servers join at uniform random
-// torus coordinates drawn from the churner's stream.
-type geoTarget struct{ *router.Geo }
-
-func (t geoTarget) addServer(name string, r *rng.Rand) error {
-	at := make(geom.Vec, t.Dim())
-	for j := range at {
-		at[j] = r.Float64()
-	}
-	return t.AddServer(name, at)
-}
-func (t geoTarget) removeServer(name string) error { return t.RemoveServer(name) }
 
 // Config parameterizes one load-test run. Zero fields take the
 // documented defaults.
@@ -119,7 +95,7 @@ type Config struct {
 	Rebalance   bool          // rebalance after every churn event
 	Failures    FailureScript // scripted failure events racing the traffic; see failures.go
 	SampleEvery int           // measure latency on every k-th op (default 8)
-	Batch       int           // ops per bulk call; > 1 drives the batch serving path (batch.go), 0/1 the scalar path
+	Batch       int           // ops per bulk call; > 1 drives the batch serving path, 0/1 the scalar path (worker.go)
 	ReportEvery time.Duration // interim load reports to ReportTo; 0 = none
 	ReportTo    io.Writer     // destination for interim reports (required when ReportEvery > 0)
 	Seed        uint64
@@ -177,7 +153,8 @@ type Config struct {
 	// are preloaded the target starts a write-ahead journal in that
 	// directory (snapshot at attach, every later mutation logged), and a
 	// scripted kill event crashes the router mid-traffic and recovers it
-	// from that journal. Required by kill events; useful on its own to
+	// in place from that journal. Run closes and detaches the journal
+	// before it returns. Required by kill events; useful on its own to
 	// measure journaled-placement overhead under live load.
 	JournalDir string
 
@@ -375,48 +352,6 @@ func (cfg *Config) applyDefaults() error {
 	return nil
 }
 
-// buildTarget constructs the router under test with its initial fleet,
-// applies the capacity bands, and returns the per-server capacity map
-// the service model seeds from.
-func (cfg *Config) buildTarget() (churnTarget, map[string]float64, error) {
-	names := make([]string, cfg.Servers)
-	for i := range names {
-		names[i] = "server-" + strconv.Itoa(i)
-	}
-	var target churnTarget
-	switch cfg.Space {
-	case "ring":
-		ring, err := hashring.New(names,
-			hashring.WithChoices(cfg.Choices), hashring.WithReplicas(cfg.Replicas))
-		if err != nil {
-			return nil, nil, err
-		}
-		target = ringTarget{ring}
-	case "torus":
-		geo, err := router.NewGeo(cfg.Dim, cfg.Choices)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Deterministic server placement from a stream the workers and
-		// churner never touch.
-		sr := rng.NewStream(cfg.Seed, 1<<33)
-		t := geoTarget{geo}
-		for _, name := range names {
-			if err := t.addServer(name, sr); err != nil {
-				return nil, nil, err
-			}
-		}
-		target = t
-	default:
-		return nil, nil, fmt.Errorf("loadgen: unknown space %q (want ring or torus)", cfg.Space)
-	}
-	caps, err := assignCapacities(target, names, cfg.Capacities)
-	if err != nil {
-		return nil, nil, err
-	}
-	return target, caps, nil
-}
-
 func (cfg *Config) ranker() (workload.Ranker, error) {
 	switch cfg.Dist {
 	case "zipf":
@@ -430,267 +365,211 @@ func (cfg *Config) ranker() (workload.Ranker, error) {
 	}
 }
 
-// workerStats is one goroutine's private tally, merged after the run.
-type workerStats struct {
-	lookups, places, removes, errors int64
-	failedReads                      int64
-	rejections, retries, recovered   int64
-	shed, deadlineMisses, hedges     int64
-	lookup, place, remove, lag       stats.LatencyHist
-	sojourn                          stats.LatencyHist
+// harness is one run's shared state: the router under test and what
+// the workers, the churner, the failure script and the reporter read.
+type harness struct {
+	cfg      Config
+	target   Target
+	join     func(name string, r *rng.Rand) error // adds a churned server
+	caps     map[string]float64                   // server capacities, for the service model
+	rk       workload.Ranker
+	hot      []string // the preloaded keys lookups draw from
+	lm       *LoadMetrics
+	jopts    journal.Options // the journal's options, reused by kill restarts
+	failover bool            // reads fail over (LocateAny) and the audit counts lost keys
+
+	// Set when the traffic starts.
+	start time.Time
+	model *serviceModel
+	br    *breakerSet
 }
 
-// opBatch is how many ops a worker claims from the shared budget at a
-// time, bounding both contention on the budget counter and overshoot.
-const opBatch = 64
-
-// Run executes one load-test run.
+// Run executes one load-test run: build and preload the router, drive
+// the traffic, audit the result, then close the run's journal.
 func Run(cfg Config) (*Result, error) {
+	h, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := h.drive()
+	h.audit(res)
+	// Detached as well as closed, so Result.Router keeps taking writes.
+	if err := h.target.CloseJournal(); err != nil {
+		return nil, fmt.Errorf("loadgen: closing the journal: %w", err)
+	}
+	return res, nil
+}
+
+// build validates the config and readies the router under test: the
+// initial fleet and its capacities, replication, instrumentation, the
+// preloaded hot keys, bounded-load admission and the journal.
+func build(cfg Config) (*harness, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	rk, err := cfg.ranker()
-	if err != nil {
+	h := &harness{cfg: cfg, failover: cfg.KeyReplicas > 1 || len(cfg.Failures) > 0}
+	var err error
+	if h.rk, err = cfg.ranker(); err != nil {
 		return nil, err
 	}
-	target, caps, err := cfg.buildTarget()
-	if err != nil {
+	if err := h.buildTarget(); err != nil {
 		return nil, err
 	}
 	if cfg.KeyReplicas > 1 {
-		if err := target.SetReplication(cfg.KeyReplicas); err != nil {
+		if err := h.target.SetReplication(cfg.KeyReplicas); err != nil {
 			return nil, err
 		}
 	}
 	// Optional instrumentation: router_* on the target, loadgen_* for
-	// the harness's own traffic. Nil stays on the uninstrumented paths.
-	var lm *LoadMetrics
+	// the harness's own traffic, journal_* on the journal. Nil stays on
+	// the uninstrumented paths.
 	if cfg.Registry != nil {
-		target.Instrument(cfg.Registry)
-		lm = NewLoadMetrics(cfg.Registry)
-		lm.Workers.Set(int64(cfg.Workers))
+		h.target.Instrument(cfg.Registry)
+		h.lm = NewLoadMetrics(cfg.Registry)
+		h.lm.Workers.Set(int64(cfg.Workers))
+		h.jopts.Metrics = journal.NewMetrics(cfg.Registry)
 	}
-	// Failover mode: replicated placement or scripted failures switch
-	// the read path to LocateAny and enable the post-run repair audit.
-	failover := cfg.KeyReplicas > 1 || len(cfg.Failures) > 0
-
 	// Preload the hot-key space the Locate traffic reads. The bound is
 	// armed only afterwards: preloaded keys are the pre-existing data
 	// set, not the admission-controlled arrivals.
-	hot := make([]string, cfg.Keys)
-	for i := range hot {
-		hot[i] = "hot:" + strconv.Itoa(i)
-		if _, err := target.Place(hot[i]); err != nil {
+	h.hot = make([]string, cfg.Keys)
+	for i := range h.hot {
+		h.hot[i] = "hot:" + strconv.Itoa(i)
+		if _, err := h.target.Place(h.hot[i]); err != nil {
 			return nil, err
 		}
 	}
 	if cfg.BoundedLoad > 0 {
-		if err := target.SetBoundedLoad(cfg.BoundedLoad); err != nil {
+		if err := h.target.SetBoundedLoad(cfg.BoundedLoad); err != nil {
 			return nil, err
 		}
 	}
-
-	// Durable mode: attach the write-ahead journal after the preload —
-	// the snapshot carries the initial fleet and hot-key set, the WAL
-	// records only the run's own mutations — and swap in the
-	// crash-recovery wrapper that kill events restart the router
-	// through.
+	// Durable mode: the journal starts after the preload, so its
+	// snapshot carries the initial fleet and hot-key set and the WAL
+	// records only the run's own mutations.
 	if cfg.JournalDir != "" {
-		opts := journal.Options{}
-		if cfg.Registry != nil {
-			opts.Metrics = journal.NewMetrics(cfg.Registry)
+		if _, err := h.target.StartJournal(cfg.JournalDir, h.jopts); err != nil {
+			return nil, err
 		}
-		var jerr error
-		switch t := target.(type) {
-		case geoTarget:
-			_, jerr = t.StartJournal(cfg.JournalDir, opts)
-		case ringTarget:
-			_, jerr = t.StartJournal(cfg.JournalDir, opts)
+	}
+	return h, nil
+}
+
+// buildTarget constructs the router under test with its initial fleet
+// and capacity bands, and the join its churner adds servers with.
+func (h *harness) buildTarget() error {
+	cfg := &h.cfg
+	names := make([]string, cfg.Servers)
+	for i := range names {
+		names[i] = "server-" + strconv.Itoa(i)
+	}
+	switch cfg.Space {
+	case "ring":
+		ring, err := hashring.New(names,
+			hashring.WithChoices(cfg.Choices), hashring.WithReplicas(cfg.Replicas))
+		if err != nil {
+			return err
 		}
-		if jerr != nil {
-			return nil, jerr
+		h.target = ring
+		h.join = func(name string, _ *rng.Rand) error { return ring.AddServer(name) }
+	case "torus":
+		geo, err := router.NewGeo(cfg.Dim, cfg.Choices)
+		if err != nil {
+			return err
 		}
-		rt := &restartableTarget{t: target, cfg: &cfg, opts: opts}
-		target = rt
-		defer rt.closeJournal()
-	}
-
-	var (
-		budget   atomic.Int64 // remaining ops (ops-bound mode)
-		traffic  sync.WaitGroup
-		allStats = make([]workerStats, cfg.Workers)
-	)
-	budget.Store(cfg.Ops)
-	opsBound := cfg.Duration <= 0
-
-	start := time.Now()
-	var deadline time.Time
-	if cfg.Duration > 0 {
-		deadline = start.Add(cfg.Duration)
-	}
-
-	// The optional client-side overload machinery: the per-server
-	// service-time model and the read-path circuit breaker.
-	var model *serviceModel
-	if cfg.ServiceRate > 0 {
-		model = newServiceModel(cfg.ServiceRate, caps, start)
-	}
-	var br *breakerSet
-	if cfg.HedgeAfter > 0 {
-		br = newBreakerSet(cfg.BreakerTrip, cfg.BreakerCooldown)
-	}
-
-	var nextArrival atomic.Int64 // open-loop arrival index claims
-	for w := 0; w < cfg.Workers; w++ {
-		traffic.Add(1)
-		go func(w int) {
-			defer traffic.Done()
-			st := newOpState(target, &cfg, rk, rng.NewStream(cfg.Seed, uint64(w)), w,
-				&allStats[w], lm, hot, failover)
-			st.model, st.br = model, br
-			switch {
-			case cfg.Arrivals != nil && cfg.Batch > 1:
-				runOpenBatchWorker(st, cfg.Arrivals, &nextArrival, start, deadline)
-			case cfg.Arrivals != nil:
-				runOpenWorker(st, cfg.Arrivals, &nextArrival, start, deadline)
-			case cfg.Batch > 1:
-				runBatchWorker(st, &budget, opsBound, deadline)
-			default:
-				runWorker(st, &budget, opsBound, deadline)
+		h.target = geo
+		// Servers join at uniform random torus coordinates.
+		h.join = func(name string, r *rng.Rand) error {
+			at := make(geom.Vec, cfg.Dim)
+			for j := range at {
+				at[j] = r.Float64()
 			}
-		}(w)
+			return geo.AddServer(name, at)
+		}
+		// Deterministic initial placement from a stream the workers and
+		// churner never touch.
+		sr := rng.NewStream(cfg.Seed, 1<<33)
+		for _, name := range names {
+			if err := h.join(name, sr); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("loadgen: unknown space %q (want ring or torus)", cfg.Space)
+	}
+	var err error
+	h.caps, err = assignCapacities(h.target, names, cfg.Capacities)
+	return err
+}
+
+// drive runs the workers against the router, racing the failure
+// script, the membership churner and the reporting loop, and tallies
+// the traffic once every worker is done.
+func (h *harness) drive() *Result {
+	cfg := &h.cfg
+	h.start = time.Now()
+	if cfg.ServiceRate > 0 {
+		h.model = newServiceModel(cfg.ServiceRate, h.caps, h.start)
+	}
+	if cfg.HedgeAfter > 0 {
+		h.br = newBreakerSet(cfg.BreakerTrip, cfg.BreakerCooldown)
+	}
+	src := h.newSource()
+	workers := make([]*worker, cfg.Workers)
+	var traffic sync.WaitGroup
+	for i := range workers {
+		workers[i] = h.newWorker(i)
+		traffic.Add(1)
+		go func(w *worker) {
+			defer traffic.Done()
+			w.run(src)
+		}(workers[i])
 	}
 
-	// Optional scripted failures, racing the traffic.
 	var (
-		failDone chan struct{}
-		outcomes []FailureOutcome
-	)
-	failStop := make(chan struct{})
-	if len(cfg.Failures) > 0 {
-		failDone = make(chan struct{})
-		go func() {
-			defer close(failDone)
-			outcomes = runFailures(target, &cfg, lm, model, caps, failStop)
-		}()
-	}
-
-	// Optional membership churner, racing the traffic.
-	var (
-		churnDone   chan struct{}
+		side        sync.WaitGroup
+		outcomes    []FailureOutcome
 		churnEvents int
 		moved       int
 	)
-	churnStop := make(chan struct{})
+	stop := make(chan struct{})
+	if len(cfg.Failures) > 0 {
+		side.Add(1)
+		go func() {
+			defer side.Done()
+			outcomes = h.runFailures(stop)
+		}()
+	}
 	if cfg.ChurnEvery > 0 {
-		churnDone = make(chan struct{})
+		side.Add(1)
 		go func() {
-			defer close(churnDone)
-			tick := time.NewTicker(cfg.ChurnEvery)
-			defer tick.Stop()
-			var added []string
-			next := 0
-			cr := rng.NewStream(cfg.Seed, 1<<32)
-			for {
-				select {
-				case <-churnStop:
-					return
-				case <-tick.C:
-				}
-				if len(added) == 0 || (len(added) < 8 && cr.Intn(2) == 0) {
-					name := "churn-" + strconv.Itoa(next)
-					next++
-					if target.addServer(name, cr) == nil {
-						added = append(added, name)
-						churnEvents++
-						if lm != nil {
-							lm.ChurnEvents.Inc(0)
-						}
-					}
-				} else {
-					name := added[0]
-					added = added[1:]
-					if target.removeServer(name) == nil {
-						churnEvents++
-						if lm != nil {
-							lm.ChurnEvents.Inc(0)
-						}
-					}
-				}
-				if cfg.Rebalance {
-					moved += target.Rebalance()
-				}
-			}
+			defer side.Done()
+			churnEvents, moved = h.churn(stop)
 		}()
 	}
-
-	// Optional reporting loop: folds the live load counters into a
-	// reused map (the allocation-free LoadsInto path) every tick and
-	// prints an interim imbalance line.
-	var reportDone chan struct{}
-	reportStop := make(chan struct{})
 	if cfg.ReportEvery > 0 {
-		reportDone = make(chan struct{})
+		side.Add(1)
 		go func() {
-			defer close(reportDone)
-			tick := time.NewTicker(cfg.ReportEvery)
-			defer tick.Stop()
-			loads := make(map[string]int64, cfg.Servers+8)
-			for {
-				select {
-				case <-reportStop:
-					return
-				case <-tick.C:
-				}
-				if cfg.ReportFunc != nil {
-					cfg.ReportFunc(time.Since(start), target)
-					continue
-				}
-				target.LoadsInto(loads)
-				var total, max int64
-				for _, l := range loads {
-					total += l
-					if l > max {
-						max = l
-					}
-				}
-				mean := float64(total) / float64(len(loads))
-				ratio := 0.0
-				if mean > 0 {
-					ratio = float64(max) / mean
-				}
-				fmt.Fprintf(cfg.ReportTo, "  [%7.3fs] %d keys on %d servers   max load %d (%.2fx mean)\n",
-					time.Since(start).Seconds(), total, len(loads), max, ratio)
-			}
+			defer side.Done()
+			h.report(stop)
 		}()
 	}
-
 	traffic.Wait()
-	close(churnStop)
-	if churnDone != nil {
-		<-churnDone
-	}
-	close(failStop)
-	if failDone != nil {
-		<-failDone
-	}
-	close(reportStop)
-	if reportDone != nil {
-		<-reportDone
-	}
-	elapsed := time.Since(start)
+	close(stop)
+	side.Wait()
+	elapsed := time.Since(h.start)
 
 	res := &Result{
 		Elapsed:     elapsed,
+		Failures:    outcomes,
 		ChurnEvents: churnEvents,
 		MovedKeys:   moved,
 		Workers:     cfg.Workers,
 		Procs:       runtime.GOMAXPROCS(0),
-		Router:      target,
+		Router:      h.target,
 	}
-	res.Failures = outcomes
-	for i := range allStats {
-		ws := &allStats[i]
+	for _, w := range workers {
+		ws := &w.workerStats
 		res.Lookups += ws.lookups
 		res.Places += ws.places
 		res.Removes += ws.removes
@@ -708,13 +587,13 @@ func Run(cfg Config) (*Result, error) {
 		res.Lag.Merge(&ws.lag)
 		res.Sojourn.Merge(&ws.sojourn)
 	}
-	if br != nil {
-		res.BreakerOpens = br.openCount()
+	if h.br != nil {
+		res.BreakerOpens = h.br.openCount()
 	}
-	if model != nil {
-		res.WorstQueue, res.MaxBacklog = model.maxBacklog()
+	if h.model != nil {
+		res.WorstQueue, res.MaxBacklog = h.model.maxBacklog()
 	}
-	res.MaxRelLoad = target.MaxRelLoad()
+	res.MaxRelLoad = h.target.MaxRelLoad()
 	if cfg.Arrivals != nil {
 		res.Offered = cfg.Arrivals.Total()
 	}
@@ -722,19 +601,100 @@ func Run(cfg Config) (*Result, error) {
 	if elapsed > 0 {
 		res.Throughput = float64(res.Ops) / elapsed.Seconds()
 	}
-	// The zero-lost-keys audit: after a final repair converges, every
-	// preloaded hot key must still be readable somewhere.
-	if failover {
-		target.Repair()
-		for _, key := range hot {
-			if _, err := target.LocateAny(key); err != nil {
+	return res
+}
+
+// churn is the membership churner: every ChurnEvery it adds a server
+// or removes the oldest one it added (optionally rebalancing), until
+// stop closes. It returns the events fired and the keys rebalanced.
+func (h *harness) churn(stop <-chan struct{}) (events, moved int) {
+	tick := time.NewTicker(h.cfg.ChurnEvery)
+	defer tick.Stop()
+	var added []string
+	next := 0
+	cr := rng.NewStream(h.cfg.Seed, 1<<32)
+	for {
+		select {
+		case <-stop:
+			return events, moved
+		case <-tick.C:
+		}
+		var err error
+		if len(added) == 0 || (len(added) < 8 && cr.Intn(2) == 0) {
+			name := "churn-" + strconv.Itoa(next)
+			next++
+			if err = h.join(name, cr); err == nil {
+				added = append(added, name)
+			}
+		} else {
+			err = h.target.RemoveServer(added[0])
+			added = added[1:]
+		}
+		if err == nil {
+			events++
+			if h.lm != nil {
+				h.lm.ChurnEvents.Inc(0)
+			}
+		}
+		if h.cfg.Rebalance {
+			moved += h.target.Rebalance()
+		}
+	}
+}
+
+// report is the reporting loop: every ReportEvery it folds the live
+// load counters into a reused map (the allocation-free LoadsInto path)
+// and prints an interim imbalance line, or hands the router to
+// ReportFunc, until stop closes.
+func (h *harness) report(stop <-chan struct{}) {
+	cfg := &h.cfg
+	tick := time.NewTicker(cfg.ReportEvery)
+	defer tick.Stop()
+	loads := make(map[string]int64, cfg.Servers+8)
+	for {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+		}
+		if cfg.ReportFunc != nil {
+			cfg.ReportFunc(time.Since(h.start), h.target)
+			continue
+		}
+		h.target.LoadsInto(loads)
+		var total, max int64
+		for _, l := range loads {
+			total += l
+			if l > max {
+				max = l
+			}
+		}
+		mean := float64(total) / float64(len(loads))
+		ratio := 0.0
+		if mean > 0 {
+			ratio = float64(max) / mean
+		}
+		fmt.Fprintf(cfg.ReportTo, "  [%7.3fs] %d keys on %d servers   max load %d (%.2fx mean)\n",
+			time.Since(h.start).Seconds(), total, len(loads), max, ratio)
+	}
+}
+
+// audit finishes the result after the traffic: with failover on, the
+// zero-lost-keys check — after a final repair converges, every
+// preloaded hot key must still be readable somewhere — and then the
+// final key count and load spread.
+func (h *harness) audit(res *Result) {
+	if h.failover {
+		h.target.Repair()
+		for _, key := range h.hot {
+			if _, err := h.target.LocateAny(key); err != nil {
 				res.LostKeys++
 			}
 		}
 	}
-	res.FinalKeys = target.NumKeys()
-	loads := make(map[string]int64, cfg.Servers+8)
-	target.LoadsInto(loads)
+	res.FinalKeys = h.target.NumKeys()
+	loads := make(map[string]int64, h.cfg.Servers+8)
+	h.target.LoadsInto(loads)
 	var total int64
 	for _, l := range loads {
 		total += l
@@ -744,363 +704,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if len(loads) > 0 {
 		res.MeanLoad = float64(total) / float64(len(loads))
-	}
-	return res, nil
-}
-
-// opState is one traffic goroutine's working set: the shared run
-// parameters plus the worker-private key pool and tallies. doOp issues
-// one operation against it; the closed- and open-loop drivers differ
-// only in how they pace the doOp calls.
-type opState struct {
-	target   Target
-	cfg      *Config
-	rk       workload.Ranker
-	r        *rng.Rand
-	ws       *workerStats
-	lm       *LoadMetrics
-	hot      []string
-	failover bool
-	hint     uint64 // metric shard hint (the worker index)
-
-	own                []string // worker-private write-churn key pool
-	head, tail, placed int      // own[tail:head) (mod len) are currently placed
-	opCount            int
-	gen                int // shed-key regeneration counter (fresh candidate sets)
-
-	// Overload machinery (nil when the run doesn't arm it).
-	model     *serviceModel
-	br        *breakerSet
-	ownersBuf []string // reusable Owners scratch for hedged reads
-
-	// Batch-mode scratch (Batch > 1 only; see batch.go): reusable key
-	// blocks and result buffers so a steady-state batch allocates
-	// nothing beyond what the router's own batch path does.
-	blook, bplace, bremove, bpend []string
-	bout                          []router.BatchResult
-}
-
-func newOpState(target Target, cfg *Config, rk workload.Ranker, r *rng.Rand,
-	w int, ws *workerStats, lm *LoadMetrics, hot []string, failover bool) *opState {
-	st := &opState{
-		target: target, cfg: cfg, rk: rk, r: r, ws: ws, lm: lm,
-		hot: hot, failover: failover, hint: uint64(w),
-		own:       make([]string, 256),
-		ownersBuf: make([]string, 0, router.MaxChoices),
-	}
-	for i := range st.own {
-		st.own[i] = "w" + strconv.Itoa(w) + ":" + strconv.Itoa(i)
-	}
-	if b := cfg.Batch; b > 1 {
-		st.blook = make([]string, 0, b)
-		st.bplace = make([]string, 0, b)
-		st.bremove = make([]string, 0, b)
-		st.bpend = make([]string, 0, b)
-		st.bout = make([]router.BatchResult, b)
-	}
-	return st
-}
-
-// doOp issues one operation: Zipf/Pareto/uniform-keyed Locate traffic
-// at LookupFrac, the rest an even mix of Place and Remove over the
-// worker's own pre-generated key pool (so write ops never collide
-// across workers and the steady state allocates nothing).
-func (st *opState) doOp() {
-	ws, lm := st.ws, st.lm
-	measured := st.opCount%st.cfg.SampleEvery == 0
-	st.opCount++
-	if st.r.Float64() < st.cfg.LookupFrac {
-		// Pick the key before starting the clock: the Zipf rank draw is
-		// a rejection-sampling loop whose cost would otherwise dominate
-		// the ~50ns router op being measured.
-		key := st.hot[st.rk.Next(st.r)]
-		var t0 time.Time
-		if measured {
-			t0 = time.Now()
-		}
-		var (
-			err error
-			srv string
-		)
-		if st.failover {
-			// The failover read: a dead primary is routed around, and a
-			// key with NO live replica is the scripted degradation a
-			// failure inflicts on purpose, not a harness error.
-			if srv, err = st.target.LocateAny(key); errors.Is(err, router.ErrNoLiveReplica) {
-				ws.failedReads++
-				if lm != nil {
-					lm.FailedReads.Inc(st.hint)
-				}
-				err, srv = nil, ""
-			}
-		} else {
-			srv, err = st.target.Locate(key)
-		}
-		if st.model != nil && srv != "" {
-			st.observeRead(key, srv)
-		}
-		ws.lookups++
-		if lm != nil {
-			lm.Lookups.Inc(st.hint)
-		}
-		if err != nil {
-			ws.errors++
-			if lm != nil {
-				lm.Errors.Inc(st.hint)
-			}
-		}
-		if measured {
-			lat := time.Since(t0).Nanoseconds()
-			ws.lookup.Add(lat)
-			if lm != nil {
-				lm.LookupLatency.Observe(lat)
-			}
-		}
-		return
-	}
-	doPlace := st.placed == 0 || (st.placed < len(st.own) && st.r.Uint64()&1 == 0)
-	var t0 time.Time
-	if measured || st.cfg.OpDeadline > 0 {
-		t0 = time.Now()
-	}
-	if doPlace {
-		srv, err := st.placeWithRetry(st.own[st.head], t0)
-		if err != nil && errors.Is(err, router.ErrOverloaded) {
-			// Shed: retries (or the deadline) ran out. The pool cursor
-			// does NOT advance — the key was never placed — and the op is
-			// counted as shed, not as a completed place, so goodput
-			// reflects the refusal instead of hiding it. The slot gets a
-			// FRESH key name: a key's candidate set is fixed by its hash,
-			// so retrying the identical key against a saturated candidate
-			// set would wedge the worker's write path for good (the
-			// client-side analogue of giving up on a request instead of
-			// hammering the same overloaded shard).
-			st.gen++
-			st.own[st.head] = "w" + strconv.Itoa(int(st.hint)) + ":" +
-				strconv.Itoa(st.head) + "#" + strconv.Itoa(st.gen)
-			ws.shed++
-			if lm != nil {
-				lm.Shed.Inc(st.hint)
-			}
-			return
-		}
-		st.head = (st.head + 1) % len(st.own)
-		st.placed++
-		ws.places++
-		if lm != nil {
-			lm.Places.Inc(st.hint)
-		}
-		if err != nil {
-			ws.errors++
-			if lm != nil {
-				lm.Errors.Inc(st.hint)
-			}
-		} else if st.model != nil {
-			// The accepted write consumes service time on the server that
-			// took it — write demand is demand.
-			soj := st.model.observe(srv, st.r)
-			ws.sojourn.Add(int64(soj))
-			if lm != nil {
-				lm.Sojourn.Observe(int64(soj))
-			}
-		}
-		if measured {
-			ws.place.Add(time.Since(t0).Nanoseconds())
-		}
-	} else {
-		err := st.target.Remove(st.own[st.tail])
-		st.tail = (st.tail + 1) % len(st.own)
-		st.placed--
-		ws.removes++
-		if lm != nil {
-			lm.Removes.Inc(st.hint)
-		}
-		if err != nil {
-			ws.errors++
-			if lm != nil {
-				lm.Errors.Inc(st.hint)
-			}
-		}
-		if measured {
-			ws.remove.Add(time.Since(t0).Nanoseconds())
-		}
-	}
-}
-
-// observeRead routes one read through the service-time model: observe
-// the serving server's virtual queue, hedge to an alternate replica
-// when the sojourn crosses HedgeAfter (or the server's breaker is
-// already open), keep the faster of the two, and feed the breaker.
-func (st *opState) observeRead(key, srv string) {
-	ws, lm := st.ws, st.lm
-	now := time.Now()
-	var (
-		soj    time.Duration
-		hedged bool
-	)
-	if st.br != nil && st.br.open(srv, now) {
-		// Breaker open: go straight to an alternate replica, sparing the
-		// struggling server the sample entirely. No alternate (single
-		// replica, or every owner is srv) means eating the slow read.
-		if alt := st.altReplica(key, srv); alt != "" {
-			soj, hedged = st.model.observe(alt, st.r), true
-		} else {
-			soj = st.model.observe(srv, st.r)
-		}
-	} else {
-		soj = st.model.observe(srv, st.r)
-		if st.br != nil {
-			slow := soj > st.cfg.HedgeAfter
-			if slow {
-				// Hedge: a second read to an alternate replica, keeping
-				// whichever finishes first.
-				if alt := st.altReplica(key, srv); alt != "" {
-					if s2 := st.model.observe(alt, st.r); s2 < soj {
-						soj = s2
-					}
-					hedged = true
-				}
-			}
-			if st.br.record(srv, slow, now) && lm != nil {
-				lm.BreakerOpens.Inc(st.hint)
-			}
-		}
-	}
-	if hedged {
-		ws.hedges++
-		if lm != nil {
-			lm.Hedges.Inc(st.hint)
-		}
-	}
-	ws.sojourn.Add(int64(soj))
-	if lm != nil {
-		lm.Sojourn.Observe(int64(soj))
-	}
-	if st.cfg.OpDeadline > 0 && soj > st.cfg.OpDeadline {
-		ws.deadlineMisses++
-		if lm != nil {
-			lm.DeadlineMisses.Inc(st.hint)
-		}
-	}
-}
-
-// altReplica returns one of key's owners other than srv, or "".
-func (st *opState) altReplica(key, srv string) string {
-	owners, err := st.target.Owners(key, st.ownersBuf[:0])
-	if err != nil {
-		return ""
-	}
-	for _, o := range owners {
-		if o != srv {
-			return o
-		}
-	}
-	return ""
-}
-
-// placeWithRetry is the client-side retry discipline: on
-// ErrOverloaded, back off (full jitter, doubling from RetryBase up to
-// RetryCap, floored at the rejection's retry-after hint) and try
-// again, up to Retries times and never past OpDeadline. Any other
-// error returns immediately; a still-overloaded error after the loop
-// means the caller sheds the op.
-func (st *opState) placeWithRetry(key string, t0 time.Time) (string, error) {
-	ws, lm := st.ws, st.lm
-	attempt := 0
-	for {
-		srv, err := st.target.Place(key)
-		if err == nil {
-			if attempt > 0 {
-				ws.recovered++
-				if lm != nil {
-					lm.Recovered.Inc(st.hint)
-				}
-			}
-			return srv, nil
-		}
-		if !errors.Is(err, router.ErrOverloaded) {
-			return srv, err
-		}
-		ws.rejections++
-		if attempt >= st.cfg.Retries {
-			return srv, err
-		}
-		var hint time.Duration
-		var oe *router.OverloadedError
-		if errors.As(err, &oe) {
-			hint = oe.RetryAfter
-		}
-		attempt++
-		sleep := backoff(st.r, attempt, st.cfg.RetryBase, st.cfg.RetryCap, hint)
-		if st.cfg.OpDeadline > 0 && time.Since(t0)+sleep > st.cfg.OpDeadline {
-			ws.deadlineMisses++
-			if lm != nil {
-				lm.DeadlineMisses.Inc(st.hint)
-			}
-			return srv, err
-		}
-		ws.retries++
-		if lm != nil {
-			lm.Retries.Inc(st.hint)
-		}
-		time.Sleep(sleep)
-	}
-}
-
-// runWorker is the closed-loop driver: issue ops back to back against
-// the shared budget (ops-bound) or until the deadline (time-bound).
-func runWorker(st *opState, budget *atomic.Int64, opsBound bool, deadline time.Time) {
-	for {
-		n := opBatch
-		if opsBound {
-			claimed := budget.Add(-opBatch)
-			if claimed <= -opBatch {
-				return
-			}
-			if claimed < 0 {
-				n = opBatch + int(claimed)
-			}
-		} else if !time.Now().Before(deadline) {
-			return
-		}
-		for i := 0; i < n; i++ {
-			st.doOp()
-		}
-	}
-}
-
-// runOpenWorker is the open-loop driver: claim arrival indices from
-// the shared counter, sleep until each claimed arrival is due, record
-// how far behind schedule the op actually issued, and stop when the
-// schedule (or the optional deadline) is exhausted. Issue lag is
-// recorded for EVERY op, not sampled — lag is the open-loop harness's
-// primary signal and costs no clock read beyond the one it needs.
-func runOpenWorker(st *opState, sched *ArrivalSchedule, next *atomic.Int64,
-	start, deadline time.Time) {
-	total := sched.Total()
-	for {
-		k := next.Add(1) - 1
-		if k >= total {
-			return
-		}
-		due := start.Add(sched.TimeOf(k))
-		now := time.Now()
-		if d := due.Sub(now); d > 0 {
-			time.Sleep(d)
-			now = time.Now()
-		}
-		if !deadline.IsZero() && now.After(deadline) {
-			return
-		}
-		lag := now.Sub(due).Nanoseconds()
-		if lag < 0 {
-			lag = 0
-		}
-		st.ws.lag.Add(lag)
-		if st.lm != nil {
-			st.lm.Lag.Observe(lag)
-		}
-		st.doOp()
 	}
 }
 

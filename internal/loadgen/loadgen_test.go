@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"geobalance/internal/router"
 )
 
 func TestRunOpsBound(t *testing.T) {
@@ -115,8 +117,8 @@ func TestRunTorusSpace(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("%d op errors on the torus router", res.Errors)
 	}
-	if _, ok := res.Router.(geoTarget); !ok {
-		t.Fatalf("Router is %T, want the geo adapter", res.Router)
+	if _, ok := res.Router.(*router.Geo); !ok {
+		t.Fatalf("Router is %T, want the geo router", res.Router)
 	}
 	res.Router.Rebalance()
 	if err := res.Router.CheckInvariants(); err != nil {

@@ -97,8 +97,8 @@ func TestKillRecoveryRing(t *testing.T) {
 }
 
 // TestJournaledRunWithoutKill: a JournalDir alone must journal the run
-// (zone victim selection still sees the torus geometry through the
-// wrapper) without changing any result contract.
+// (zone victim selection still sees the torus geometry) without
+// changing any result contract.
 func TestJournaledRunWithoutKill(t *testing.T) {
 	res, err := Run(Config{
 		Space: "torus", Dim: 2, Servers: 20, Choices: 3, KeyReplicas: 2,
@@ -116,7 +116,32 @@ func TestJournaledRunWithoutKill(t *testing.T) {
 		t.Fatalf("errors=%d lost=%d", res.Errors, res.LostKeys)
 	}
 	if len(res.Failures) != 1 || len(res.Failures[0].Killed) == 0 {
-		t.Fatalf("zone event through the journal wrapper killed nobody: %+v", res.Failures)
+		t.Fatalf("zone event on a journaled run killed nobody: %+v", res.Failures)
+	}
+}
+
+// TestJournaledRunDetachesJournal: Run closes AND detaches the journal
+// it started, so the returned router keeps taking writes and a
+// post-run Rebalance still re-homes the records a churned run left
+// stranded.
+func TestJournaledRunDetachesJournal(t *testing.T) {
+	res, err := Run(Config{
+		Servers: 16, Workers: 4, Duration: 300 * time.Millisecond, Keys: 1 << 10,
+		LookupFrac: 0.9, Seed: 24, ChurnEvery: 5 * time.Millisecond,
+		JournalDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.Router.Place("after-run"); err != nil {
+		t.Fatalf("Place after a journaled run: %v", err)
+	}
+	if err := res.Router.Remove("after-run"); err != nil {
+		t.Fatalf("Remove after a journaled run: %v", err)
+	}
+	res.Router.Rebalance()
+	if err := res.Router.CheckInvariants(); err != nil {
+		t.Fatalf("after a post-run Rebalance: %v", err)
 	}
 }
 

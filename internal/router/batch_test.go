@@ -177,8 +177,8 @@ func TestBatchScalarResolveFallback(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("m-%d", i)
 	}
-	rs := newModRouter(t, 3, names...)
-	rb := newModRouter(t, 3, names...)
+	rs, _ := newModRouter(t, 3, names...)
+	rb, _ := newModRouter(t, 3, names...)
 	if _, ok := rs.Snapshot().Topo.(BlockTopology); ok {
 		t.Fatal("modTopo unexpectedly implements BlockTopology")
 	}
@@ -233,7 +233,7 @@ func TestBatchIntraBatchDuplicate(t *testing.T) {
 // TestBatchNoServers: an empty router fails every key in the batch
 // without touching state.
 func TestBatchNoServers(t *testing.T) {
-	r, err := New("empty", 2)
+	r, _, err := New("empty", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

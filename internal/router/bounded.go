@@ -87,7 +87,7 @@ func (r *Router) SetBoundedLoad(c float64) error {
 		return fmt.Errorf("%s: bounded-load factor %v: need c > 1 (or 0 to disable)", r.name, c)
 	}
 	e := journal.Entry{Op: journal.OpSetBoundedLoad, Value: c}
-	return r.UpdateJournaled(e, func(tx *Txn) (Topology, error) {
+	return r.update(e, func(tx *Txn) (Topology, error) {
 		tx.s.Bound = c
 		return tx.Topology(), nil
 	})

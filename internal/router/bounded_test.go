@@ -195,7 +195,7 @@ func distinctCandidates(g *Geo, key string) int {
 // countCandidates resolves the key's d choices and counts the distinct
 // candidates and, of those, the ones not draining.
 func countCandidates(g *Geo, key string) (distinct, serving int) {
-	t := g.rt.Snapshot()
+	t := g.Snapshot()
 	var cb [MaxChoices]int32
 	cands := t.resolve(key, Hash('k', 0, key), &cb)
 	for j, s := range cands {
@@ -413,7 +413,7 @@ func TestAddWithCapacityRevive(t *testing.T) {
 	if err := g.AddServerWithCapacity("a", geom.Vec{0.3, 0.3}, 5); err != nil {
 		t.Fatal(err)
 	}
-	s := g.rt.Snapshot()
+	s := g.Snapshot()
 	slot, ok := s.Slot("a")
 	if !ok || s.Caps[slot] != 5 {
 		t.Fatalf("revived slot capacity = %v, want 5", s.Caps[slot])

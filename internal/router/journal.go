@@ -44,21 +44,33 @@ type CoordsFunc func(t *Snapshot, slot int32) []float64
 // already contain the router's current state (StartJournal and the
 // Recover constructors guarantee this); attaching an empty journal to
 // a non-empty router records only subsequent mutations.
-func (r *Router) SetJournal(lg *journal.Log) { r.jl.Store(lg) }
+func (m *Membership) SetJournal(lg *journal.Log) { m.r.jl.Store(lg) }
 
 // Journal returns the attached journal (nil when durability is off).
 func (r *Router) Journal() *journal.Log { return r.jl.Load() }
 
+// stopWorld takes the writer mutex and then every key-shard lock, the
+// order every other path takes them in, so no mutation or journal
+// append runs until startWorld.
+func (r *Router) stopWorld() {
+	r.mu.Lock()
+	r.lockShards(allShards)
+}
+
+func (r *Router) startWorld() {
+	r.unlockShards(allShards)
+	r.mu.Unlock()
+}
+
 // StartJournal creates a journal in dir — replacing any prior journal
 // there — seeded with a full state snapshot captured stop-the-world,
 // and attaches it, so every later mutation is recorded and the log is
-// self-contained from this moment. Facades wrap this with their
-// Header and CoordsFunc; use their StartJournal instead.
-func (r *Router) StartJournal(dir string, hdr journal.Header, coords CoordsFunc, opts journal.Options) (*journal.Log, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lockShards(allShards)
-	defer r.unlockShards(allShards)
+// self-contained from this moment. The facade supplies its Header and
+// CoordsFunc.
+func (m *Membership) StartJournal(dir string, hdr journal.Header, coords CoordsFunc, opts journal.Options) (*journal.Log, error) {
+	r := m.r
+	r.stopWorld()
+	defer r.startWorld()
 	lg, err := journal.Create(dir, hdr, r.captureStateLocked(coords), opts)
 	if err != nil {
 		return nil, err
@@ -67,19 +79,69 @@ func (r *Router) StartJournal(dir string, hdr journal.Header, coords CoordsFunc,
 	return lg, nil
 }
 
+// CloseJournal flushes, closes and detaches the attached journal, the
+// counterpart of StartJournal: the router keeps serving, and later
+// mutations go unrecorded. A no-op when no journal is attached.
+func (r *Router) CloseJournal() error {
+	r.stopWorld()
+	defer r.startWorld()
+	if lg := r.jl.Swap(nil); lg != nil {
+		return lg.Close()
+	}
+	return nil
+}
+
 // CompactJournal captures the current state stop-the-world and folds
 // the attached journal's WAL into a fresh snapshot, bounding replay
 // time. An error when no journal is attached.
-func (r *Router) CompactJournal(coords CoordsFunc) error {
+func (m *Membership) CompactJournal(coords CoordsFunc) error {
+	r := m.r
 	lg := r.jl.Load()
 	if lg == nil {
 		return fmt.Errorf("%s: no journal attached", r.name)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lockShards(allShards)
-	defer r.unlockShards(allShards)
+	r.stopWorld()
+	defer r.startWorld()
 	return lg.Compact(r.captureStateLocked(coords))
+}
+
+// Restart crashes the router and recovers it in place from its
+// attached journal: stop the world, flush the journal, recover a fresh
+// core from the journal directory with the facade's load (its
+// Recover constructor), check that the journal's header is hdr, then
+// install the fresh core's snapshot, key records, key count and journal
+// and close the old journal. Calls blocked on the locks resume against
+// the recovered state; the metrics stay attached. Without a journal, or
+// when recovery fails or finds another header, Restart returns an error
+// and the router keeps its state and journal.
+func (m *Membership) Restart(hdr journal.Header, load func(dir string) (*Router, *journal.Recovered, error)) (*journal.Recovered, error) {
+	r := m.r
+	r.stopWorld()
+	defer r.startWorld()
+	lg := r.jl.Load()
+	if lg == nil {
+		return nil, fmt.Errorf("%s: restart: no journal attached", r.name)
+	}
+	// A failed flush loses only what a crash would lose: recovery
+	// replays the durable prefix.
+	_ = lg.Sync()
+	fresh, rec, err := load(lg.Dir())
+	if err != nil {
+		return nil, err
+	}
+	if rec.Header != hdr {
+		fresh.jl.Load().Close()
+		return nil, fmt.Errorf("%s: restart: journal is for %+v, not %+v", r.name, rec.Header, hdr)
+	}
+	r.snap.Store(fresh.snap.Load())
+	for i := range r.keys {
+		r.keys[i].m = fresh.keys[i].m
+	}
+	r.nkeys.Store(fresh.nkeys.Load())
+	r.jl.Store(fresh.jl.Load())
+	// Nothing appended since the flush; the fresh journal owns the files.
+	_ = lg.Close()
+	return rec, nil
 }
 
 // captureStateLocked serializes the full router state as a replay
@@ -170,7 +232,8 @@ func (t *Snapshot) recFromJournal(key string, jr journal.Rec) (keyRec, error) {
 // wraps journal.ErrCorrupt: a CRC-valid entry the router rejects
 // (duplicate server, unplaced key, ...) means the log's contents are
 // inconsistent, the same contract violation as a bad checksum.
-func (r *Router) Replay(es []journal.Entry, add func(e *journal.Entry) error, remove func(name string) error) error {
+func (m *Membership) Replay(es []journal.Entry, add func(e *journal.Entry) error, remove func(name string) error) error {
+	r := m.r
 	for i := range es {
 		e := &es[i]
 		var err error
@@ -240,37 +303,6 @@ func (r *Router) replayKey(e *journal.Entry) error {
 	return nil
 }
 
-// UpdateJournaled is Update for journaled membership mutations: when
-// fn succeeds and a journal is attached, e is appended durably BEFORE
-// the new snapshot publishes, so the log orders every membership
-// change ahead of any placement made against it. A failed append
-// fails the mutation with nothing published. Facades route their
-// membership ops through this so the entry can carry facade state
-// (the geo router's coordinates).
-func (r *Router) UpdateJournaled(e journal.Entry, fn func(tx *Txn) (Topology, error)) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	nt := r.snap.Load().clone()
-	topo, err := fn(&Txn{s: nt})
-	if err != nil {
-		return err
-	}
-	nt.Topo = topo
-	// CapSum is derived, not mutated: recompute from the post-mutation
-	// slot tables so the bounded-load mean is always consistent with
-	// the membership it publishes with.
-	nt.CapSum = nt.liveCapSum()
-	if e.Op != 0 {
-		if lg := r.jl.Load(); lg != nil {
-			if err := lg.Append(e); err != nil {
-				return fmt.Errorf("%s: journal: %w", r.name, err)
-			}
-		}
-	}
-	r.snap.Store(nt)
-	return nil
-}
-
 // geoCoords is the geo facade's CoordsFunc: live slots report their
 // torus site, dead slots have no position (replay adds them at the
 // origin before removing them again — only the slot number matters).
@@ -286,21 +318,35 @@ func geoCoords(t *Snapshot, slot int32) []float64 {
 	return gt.space.Site(int(si))
 }
 
+// header is the geo router's journal header.
+func (g *Geo) header() journal.Header {
+	return journal.Header{Kind: "geo", Dim: g.dim, D: g.Choices()}
+}
+
 // StartJournal makes the geo router durable: it creates a journal in
 // dir (replacing any prior journal there) seeded with the full current
 // state, attaches it, and records every subsequent mutation. Recover
-// the router with RecoverGeo.
+// the router with RecoverGeo, or in place with Restart.
 func (g *Geo) StartJournal(dir string, opts journal.Options) (*journal.Log, error) {
-	hdr := journal.Header{Kind: "geo", Dim: g.dim, D: g.rt.Choices()}
-	return g.rt.StartJournal(dir, hdr, geoCoords, opts)
+	return g.m.StartJournal(dir, g.header(), geoCoords, opts)
 }
 
 // CompactJournal folds the journal's WAL into a fresh snapshot; see
-// Router.CompactJournal.
-func (g *Geo) CompactJournal() error { return g.rt.CompactJournal(geoCoords) }
+// Membership.CompactJournal.
+func (g *Geo) CompactJournal() error { return g.m.CompactJournal(geoCoords) }
 
-// Journal returns the attached journal (nil when durability is off).
-func (g *Geo) Journal() *journal.Log { return g.rt.Journal() }
+// Restart crashes the router and recovers it in place from its
+// attached journal through RecoverGeo; see Membership.Restart. opts
+// configures the recovered journal.
+func (g *Geo) Restart(opts journal.Options) (*journal.Recovered, error) {
+	return g.m.Restart(g.header(), func(dir string) (*Router, *journal.Recovered, error) {
+		fresh, rec, err := RecoverGeo(dir, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return fresh.Router, rec, nil
+	})
+}
 
 // RecoverGeo rebuilds a geographic router from the journal in dir —
 // snapshot plus WAL replay — and returns it with the journal attached
@@ -320,13 +366,13 @@ func RecoverGeo(dir string, opts journal.Options) (*Geo, *journal.Recovered, err
 	} else if g, err = NewGeo(rec.Header.Dim, rec.Header.D); err != nil {
 		err = &journal.CorruptError{Reason: err.Error()}
 	} else {
-		err = g.rt.Replay(rec.Entries, g.replayAdd, g.RemoveServer)
+		err = g.m.Replay(rec.Entries, g.replayAdd, g.RemoveServer)
 	}
 	if err != nil {
 		lg.Close()
 		return nil, nil, err
 	}
-	g.rt.SetJournal(lg)
+	g.m.SetJournal(lg)
 	return g, rec, nil
 }
 

@@ -88,15 +88,3 @@ func (r *Router) Instrument(reg *metrics.Registry) *Metrics {
 	r.RegisterSlotLoads(reg)
 	return m
 }
-
-// SetMetrics attaches (or detaches) an instrument set; see
-// Router.SetMetrics.
-func (g *Geo) SetMetrics(m *Metrics) { g.rt.SetMetrics(m) }
-
-// RegisterSlotLoads registers the scrape-time load collectors; see
-// Router.RegisterSlotLoads.
-func (g *Geo) RegisterSlotLoads(reg *metrics.Registry) { g.rt.RegisterSlotLoads(reg) }
-
-// Instrument builds, attaches, and registers the full instrument set;
-// see Router.Instrument.
-func (g *Geo) Instrument(reg *metrics.Registry) *Metrics { return g.rt.Instrument(reg) }

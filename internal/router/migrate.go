@@ -162,7 +162,7 @@ func (p *MigrationPlan) ApplyBatch(max int) (applied, skipped int) {
 		cur, ok := ks.m[op.key]
 		legal := ok && cur == op.old
 		if legal && !sameSnap {
-			_, _, err := t.audit(op.key, h0, op.new, nil, &cb)
+			_, _, err := t.check(op.key, h0, op.new, nil, &cb)
 			legal = err == nil
 		}
 		if legal && r.swap(t, ks, op.key, h0, op.old, op.new) {

@@ -16,11 +16,11 @@
 // order, under one lock round that takes every involved shard in
 // ascending order, so a batch traces exactly like the scalar loop (later
 // keys see earlier keys' load) with one bulk resolve and one journal
-// group commit. Every multi-shard path (the batches, StartJournal,
-// CompactJournal) locks shards in ascending order and every other path
-// holds at most one, so there is no lock-order cycle. Holding the locks
-// across the append is the write-ahead rule: no change becomes visible
-// before its record is durable.
+// group commit. Every multi-shard path (the batches and the
+// stop-the-world journal paths) locks shards in ascending order and
+// every other path holds at most one, so there is no lock-order cycle.
+// Holding the locks across the append is the write-ahead rule: no
+// change becomes visible before its record is durable.
 package router
 
 import (
@@ -234,8 +234,10 @@ func (c *commit) entry(u undo) journal.Entry {
 	return journal.Entry{Op: journal.OpRemoveKey, Name: u.key}
 }
 
-// report publishes the call's tally to the key count and the metrics,
-// after the shard locks are released. h is the counter shard hint.
+// report publishes the call's tally to the key count and the metrics.
+// h is the counter shard hint. The caller still holds the shard locks:
+// a restart swaps the key count under every shard lock, so it must not
+// fall between a record change and its count.
 func (c *commit) report(h uint64) {
 	if c.keys != 0 {
 		c.r.nkeys.Add(c.keys)
@@ -275,8 +277,8 @@ func (r *Router) place(key string) (*Snapshot, keyRec, error) {
 	} else if rec, err = c.place(ks, key, h0, c.t.resolve(key, h0, &cb)); err == nil && c.lg != nil {
 		err = c.journal([]undo{{key: key, h0: h0, rec: rec}})
 	}
-	ks.mu.Unlock()
 	c.report(h0)
+	ks.mu.Unlock()
 	return c.t, rec, err
 }
 
@@ -341,8 +343,8 @@ func (r *Router) Remove(key string) error {
 	if err == nil && c.lg != nil {
 		err = c.journal([]undo{{key: key, h0: h0, rec: rec}})
 	}
-	ks.mu.Unlock()
 	c.report(h0)
+	ks.mu.Unlock()
 	return err
 }
 
@@ -538,8 +540,8 @@ func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 	if len(steps) > 0 {
 		c.journal(steps)
 	}
-	r.unlockShards(mask)
 	c.report(sc.h0s[0])
+	r.unlockShards(mask)
 	r.batchEnd(sc, c.ents, steps)
 }
 
@@ -629,7 +631,7 @@ func (r *Router) RemoveBatch(keys []string, out []BatchResult) {
 	if len(steps) > 0 {
 		c.journal(steps)
 	}
-	r.unlockShards(mask)
 	c.report(sc.h0s[0])
+	r.unlockShards(mask)
 	r.batchEnd(sc, c.ents, steps)
 }

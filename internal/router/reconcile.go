@@ -1,8 +1,9 @@
 // Reconciliation: the cold paths that bring key records back in line
 // with the membership. Rebalance, Repair and PlanMigration are one
-// sorted-key walk that audits every record against the current snapshot
-// with the serving pipeline's own resolve and select stages, and hands
-// the records that fail to a per-pass fix; Rebalance, Repair and
+// sorted-key walk that checks every record against the current
+// snapshot (with the serving pipeline's own resolve and select stages
+// when the recorded choices alone cannot decide) and hands the records
+// that fail to a per-pass fix; Rebalance, Repair and
 // MigrationPlan.ApplyBatch commit through one record-swap step.
 package router
 
@@ -14,14 +15,36 @@ import (
 )
 
 // check is the record validator: nil when rec is legal for the key
-// under t. Legal means every replica sits on a distinct live slot that
-// still resolves at its recorded choice index, no replica sits on a
-// draining slot while a serving candidate exists, and the replica count
-// is at the target. full is the record choose picks from cands: it
-// carries the target count, and its primary is draining only when every
-// candidate is. A legal record need not be the least-loaded choice:
-// placement is sticky.
-func (t *Snapshot) check(key string, rec keyRec, cands []int32, full keyRec) error {
+// (h0 = Hash('k', 0, key); loads as in choose) under t. Legal means
+// every replica sits on a distinct live slot that still resolves at its
+// recorded choice index, no replica sits on a draining slot while a
+// serving candidate exists, and the replica count is at the target. A
+// legal record need not be the least-loaded choice: placement is
+// sticky.
+//
+// The first step, checkReplicas, resolves only the recorded choices.
+// With no slot draining and a full R-replica record it decides: R live,
+// distinct, resolving replicas are R distinct serving candidates, so
+// the drain rule holds and the target count is R, and check returns nil
+// candidates. Otherwise the resolve and select stages run: cands are
+// the key's candidates and full the record choose picks from them, and
+// checkChoice holds rec against full.
+func (t *Snapshot) check(key string, h0 uint64, rec keyRec, loads []int64, buf *[MaxChoices]int32) (cands []int32, full keyRec, err error) {
+	err = t.checkReplicas(key, h0, rec)
+	if err == nil && t.draining == 0 && int(rec.n) == t.R {
+		return nil, keyRec{}, nil
+	}
+	cands = t.resolve(key, h0, buf)
+	full, _, _ = t.choose(cands, loads, false)
+	if err == nil {
+		err = t.checkChoice(key, rec, full)
+	}
+	return cands, full, err
+}
+
+// checkReplicas checks each replica on its own: a live slot, distinct
+// from the others, that the recorded choice hash still resolves to.
+func (t *Snapshot) checkReplicas(key string, h0 uint64, rec keyRec) error {
 	if rec.n < 1 || int(rec.n) > MaxReplicas {
 		return fmt.Errorf("key %q has replica count %d", key, rec.n)
 	}
@@ -32,13 +55,28 @@ func (t *Snapshot) check(key string, rec keyRec, cands []int32, full keyRec) err
 			return fmt.Errorf("key %q on out-of-range slot %d", key, s)
 		case t.Dead[s]:
 			return fmt.Errorf("key %q on dead server %q", key, t.Names[s])
-		case j < 0 || j >= len(cands):
-			return fmt.Errorf("key %q has choice index %d of %d", key, j, len(cands))
-		case cands[j] != s:
-			return fmt.Errorf("key %q recorded on %q but hashes to %q", key, t.Names[s], t.Names[cands[j]])
+		case j < 0 || j >= t.D:
+			return fmt.Errorf("key %q has choice index %d of %d", key, j, t.D)
 		case slices.Contains(rec.slots[:i], s):
 			return fmt.Errorf("key %q has duplicate replica on %q", key, t.Names[s])
-		case t.IsDraining(s) && !t.IsDraining(full.slots[0]):
+		}
+		h := h0
+		if j > 0 {
+			h = Hash('k', j, key)
+		}
+		if c := t.Topo.Resolve(h); c != s {
+			return fmt.Errorf("key %q recorded on %q but hashes to %q", key, t.Names[s], t.Names[c])
+		}
+	}
+	return nil
+}
+
+// checkChoice holds a record whose replicas pass checkReplicas against
+// full, the record choose picks now: it carries the target count, and
+// its primary is draining only when every candidate is.
+func (t *Snapshot) checkChoice(key string, rec keyRec, full keyRec) error {
+	for i := 0; i < int(rec.n); i++ {
+		if s := rec.slots[i]; t.IsDraining(s) && !t.IsDraining(full.slots[0]) {
 			return fmt.Errorf("key %q still on draining server %q", key, t.Names[s])
 		}
 	}
@@ -48,15 +86,7 @@ func (t *Snapshot) check(key string, rec keyRec, cands []int32, full keyRec) err
 	return nil
 }
 
-// audit runs the resolve and select stages for a placed key (h0 =
-// Hash('k', 0, key); loads as in choose) and checks rec against them.
-func (t *Snapshot) audit(key string, h0 uint64, rec keyRec, loads []int64, buf *[MaxChoices]int32) (cands []int32, full keyRec, err error) {
-	cands = t.resolve(key, h0, buf)
-	full, _, _ = t.choose(cands, loads, false)
-	return cands, full, t.check(key, rec, cands, full)
-}
-
-// stray is a key whose record failed the audit, as the walk hands it
+// stray is a key whose record failed check, as the walk hands it
 // to a fix: its shard (locked), record, candidates and the record
 // choose picks now.
 type stray struct {
@@ -100,7 +130,7 @@ func (r *Router) reconcile(t *Snapshot, loads []int64, fix func(k *stray) bool) 
 			err error
 		)
 		if k.rec, ok = k.ks.m[key]; ok { // gone if removed while we walked
-			k.cands, k.full, err = t.audit(key, k.h0, k.rec, loads, &cb)
+			k.cands, k.full, err = t.check(key, k.h0, k.rec, loads, &cb)
 		}
 		more := !ok || err == nil || fix(&k)
 		k.ks.mu.Unlock()

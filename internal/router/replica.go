@@ -35,7 +35,7 @@ func (r *Router) SetReplication(rep int) error {
 		return fmt.Errorf("%s: need 1 <= replicas <= %d, got %d", r.name, MaxReplicas, rep)
 	}
 	e := journal.Entry{Op: journal.OpSetReplication, Count: rep}
-	return r.UpdateJournaled(e, func(tx *Txn) (Topology, error) {
+	return r.update(e, func(tx *Txn) (Topology, error) {
 		if rep > tx.s.D {
 			return nil, fmt.Errorf("%s: replicas %d exceed the %d hash choices per key",
 				r.name, rep, tx.s.D)
@@ -55,7 +55,7 @@ func (r *Router) Replication() int { return r.snap.Load().R }
 // PlanMigration + ApplyBatch until done, then the membership removal.
 func (r *Router) SetDraining(name string, draining bool) error {
 	e := journal.Entry{Op: journal.OpSetDraining, Name: name, Flag: draining}
-	return r.UpdateJournaled(e, func(tx *Txn) (Topology, error) {
+	return r.update(e, func(tx *Txn) (Topology, error) {
 		i, ok := tx.Slot(name)
 		if !ok || !tx.IsLive(i) {
 			return nil, fmt.Errorf("%s: unknown server %q", r.name, name)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSetReplicationValidation(t *testing.T) {
-	r := newModRouter(t, 2, "a", "b", "c")
+	r, _ := newModRouter(t, 2, "a", "b", "c")
 	if err := r.SetReplication(0); err == nil {
 		t.Error("replicas=0 accepted")
 	}
@@ -26,7 +26,7 @@ func TestSetReplicationValidation(t *testing.T) {
 }
 
 func TestSetDrainingValidation(t *testing.T) {
-	r := newModRouter(t, 2, "a", "b")
+	r, _ := newModRouter(t, 2, "a", "b")
 	if err := r.SetDraining("ghost", true); err == nil {
 		t.Error("draining an unknown server accepted")
 	}

@@ -9,8 +9,12 @@
 // that machinery once, parameterized over a small Topology interface
 // that resolves a hashed key to the server slot owning its location;
 // internal/hashring supplies the ring metric (jump-index arc lookup)
-// and router.Geo (geo.go) the torus metric (grid nearest-site lookup),
-// each as a thin facade.
+// and router.Geo (geo.go) the torus metric (grid nearest-site lookup).
+// Each facade embeds the *Router, so the serving surface is the core's
+// own, and keeps the Membership handle New returns beside it: the
+// membership transactions, journal attachment, replay and restart that
+// need the facade's topology or journal header. Embedding does not
+// expose the handle.
 //
 // Every key operation runs one pipeline (pipeline.go): resolve the
 // key's d candidates, select its record with the one d-choice rule
@@ -281,8 +285,8 @@ type keyShard struct {
 // Router is the generic concurrent d-choice serving core. Lookups
 // (Place, Locate, Remove) may run from any number of goroutines
 // concurrently with each other and with membership changes; membership
-// ops and Rebalance serialize among themselves. Facades own topology
-// construction through Update and delegate everything else.
+// ops and Rebalance serialize among themselves. Facades embed it and
+// build topologies through the Membership handle.
 type Router struct {
 	name  string
 	mu    sync.Mutex // serializes membership writes and Rebalance
@@ -294,19 +298,29 @@ type Router struct {
 	keys  [keyShardCount]keyShard
 }
 
-// New builds an empty router. name prefixes error messages (facades
-// pass their package name, so callers see "hashring: ..." errors from
-// the ring facade). d is the number of hash choices per key.
-func New(name string, d int) (*Router, error) {
+// New builds an empty router and its Membership handle. name prefixes
+// error messages (facades pass their package name, so callers see
+// "hashring: ..." errors from the ring facade). d is the number of hash
+// choices per key.
+func New(name string, d int) (*Router, *Membership, error) {
 	if d < 1 || d > MaxChoices {
-		return nil, fmt.Errorf("%s: need 1 <= d <= %d, got %d", name, MaxChoices, d)
+		return nil, nil, fmt.Errorf("%s: need 1 <= d <= %d, got %d", name, MaxChoices, d)
 	}
 	r := &Router{name: name}
 	for i := range r.keys {
 		r.keys[i].m = make(map[string]keyRec)
 	}
 	r.snap.Store(&Snapshot{D: d, R: 1, name: name, index: make(map[string]int32), Total: &SlotLoad{}})
-	return r, nil
+	return r, &Membership{r: r}, nil
+}
+
+// Membership is the facade-only handle on a Router: membership
+// transactions (the facade builds each new topology), journal
+// attachment, replay and restart (the facade supplies the journal
+// header and replays server adds). Only the facade that called New
+// holds it.
+type Membership struct {
+	r *Router
 }
 
 // Snapshot returns the current immutable membership snapshot.
@@ -316,9 +330,9 @@ func (r *Router) Snapshot() *Snapshot { return r.snap.Load() }
 func (r *Router) Choices() int { return r.snap.Load().D }
 
 // Txn is a membership mutation in progress: a copy-on-write clone of
-// the snapshot that Update hands to the facade's mutation function.
-// The accessors expose the post-mutation slot tables so the facade can
-// build the matching topology.
+// the snapshot that Membership.Update hands to the facade's mutation
+// function. The accessors expose the post-mutation slot tables so the
+// facade can build the matching topology.
 type Txn struct {
 	s *Snapshot
 }
@@ -405,13 +419,38 @@ func (tx *Txn) Remove(name string) (int32, error) {
 // Update applies one membership mutation: fn mutates a copy-on-write
 // clone through the Txn and returns the Topology matching the mutated
 // membership (which may be tx.Topology() when the geometry is
-// unchanged). On error nothing is published; on success the new
-// snapshot becomes visible atomically. Update serializes with other
-// membership changes and Rebalance. Facades whose mutations must be
-// journaled use UpdateJournaled (journal.go); a plain Update is
-// invisible to an attached journal.
-func (r *Router) Update(fn func(tx *Txn) (Topology, error)) error {
-	return r.UpdateJournaled(journal.Entry{}, fn)
+// unchanged). On error nothing is published. On success, with a
+// journal attached and e.Op set, e is appended durably BEFORE the new
+// snapshot publishes, so the log orders every membership change ahead
+// of any placement made against it; a failed append fails the
+// mutation with nothing published. Update serializes with other
+// membership changes and Rebalance.
+func (m *Membership) Update(e journal.Entry, fn func(tx *Txn) (Topology, error)) error {
+	return m.r.update(e, fn)
+}
+
+func (r *Router) update(e journal.Entry, fn func(tx *Txn) (Topology, error)) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	nt := r.snap.Load().clone()
+	topo, err := fn(&Txn{s: nt})
+	if err != nil {
+		return err
+	}
+	nt.Topo = topo
+	// CapSum is derived, not mutated: recompute from the post-mutation
+	// slot tables so the bounded-load mean is always consistent with
+	// the membership it publishes with.
+	nt.CapSum = nt.liveCapSum()
+	if e.Op != 0 {
+		if lg := r.jl.Load(); lg != nil {
+			if err := lg.Append(e); err != nil {
+				return fmt.Errorf("%s: journal: %w", r.name, err)
+			}
+		}
+	}
+	r.snap.Store(nt)
+	return nil
 }
 
 // SetCapacity declares a server's relative capacity (default 1); the
@@ -422,7 +461,7 @@ func (r *Router) SetCapacity(name string, capacity float64) error {
 		return fmt.Errorf("%s: capacity %v must be positive", r.name, capacity)
 	}
 	e := journal.Entry{Op: journal.OpSetCapacity, Name: name, Value: capacity}
-	return r.UpdateJournaled(e, func(tx *Txn) (Topology, error) {
+	return r.update(e, func(tx *Txn) (Topology, error) {
 		i, ok := tx.Slot(name)
 		if !ok || !tx.IsLive(i) {
 			return nil, fmt.Errorf("%s: unknown server %q", r.name, name)
@@ -521,7 +560,7 @@ func (r *Router) CheckInvariants() error {
 		ks := &r.keys[i]
 		ks.mu.RLock()
 		for key, rec := range ks.m {
-			if _, _, err := t.audit(key, Hash('k', 0, key), rec, nil, &cb); err != nil {
+			if _, _, err := t.check(key, Hash('k', 0, key), rec, nil, &cb); err != nil {
 				ks.mu.RUnlock()
 				return err
 			}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"geobalance/internal/journal"
 )
 
 // modTopo is a minimal stub topology for exercising the generic core
@@ -31,14 +33,14 @@ func buildMod(tx *Txn) Topology {
 	return &modTopo{live: live}
 }
 
-func newModRouter(t *testing.T, d int, servers ...string) *Router {
+func newModRouter(t *testing.T, d int, servers ...string) (*Router, *Membership) {
 	t.Helper()
-	r, err := New("stub", d)
+	r, m, err := New("stub", d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range servers {
-		if err := r.Update(func(tx *Txn) (Topology, error) {
+		if err := m.Update(journal.Entry{}, func(tx *Txn) (Topology, error) {
 			if _, err := tx.Add(s); err != nil {
 				return nil, err
 			}
@@ -47,21 +49,21 @@ func newModRouter(t *testing.T, d int, servers ...string) *Router {
 			t.Fatal(err)
 		}
 	}
-	return r
+	return r, m
 }
 
 func TestCoreValidation(t *testing.T) {
-	if _, err := New("stub", 0); err == nil {
+	if _, _, err := New("stub", 0); err == nil {
 		t.Error("d=0 accepted")
 	}
-	if _, err := New("stub", MaxChoices+1); err == nil {
+	if _, _, err := New("stub", MaxChoices+1); err == nil {
 		t.Error("d over MaxChoices accepted")
 	}
-	r := newModRouter(t, 2)
+	r, m := newModRouter(t, 2)
 	if _, err := r.Place("k"); err == nil {
 		t.Error("placement with no servers accepted")
 	}
-	addErr := r.Update(func(tx *Txn) (Topology, error) {
+	addErr := m.Update(journal.Entry{}, func(tx *Txn) (Topology, error) {
 		if _, err := tx.Add(""); err != nil {
 			return nil, err
 		}
@@ -74,7 +76,7 @@ func TestCoreValidation(t *testing.T) {
 
 func TestCoreErrorPrefix(t *testing.T) {
 	// Facades lend their package name to the core's error text.
-	r := newModRouter(t, 2, "a")
+	r, _ := newModRouter(t, 2, "a")
 	_, err := r.Locate("ghost")
 	if err == nil || !strings.HasPrefix(err.Error(), "stub: ") {
 		t.Fatalf("error %v does not carry the router name", err)
@@ -82,7 +84,7 @@ func TestCoreErrorPrefix(t *testing.T) {
 }
 
 func TestCorePlaceLocateRemove(t *testing.T) {
-	r := newModRouter(t, 2, "a", "b", "c")
+	r, _ := newModRouter(t, 2, "a", "b", "c")
 	s, err := r.Place("hello")
 	if err != nil {
 		t.Fatal(err)
@@ -111,9 +113,9 @@ func TestCorePlaceLocateRemove(t *testing.T) {
 }
 
 func TestCoreUpdateAbortPublishesNothing(t *testing.T) {
-	r := newModRouter(t, 2, "a", "b")
+	r, m := newModRouter(t, 2, "a", "b")
 	before := r.Snapshot()
-	err := r.Update(func(tx *Txn) (Topology, error) {
+	err := m.Update(journal.Entry{}, func(tx *Txn) (Topology, error) {
 		if _, err := tx.Add("c"); err != nil {
 			return nil, err
 		}
@@ -131,7 +133,7 @@ func TestCoreUpdateAbortPublishesNothing(t *testing.T) {
 }
 
 func TestCoreRebalanceAfterTopologyChange(t *testing.T) {
-	r := newModRouter(t, 2, "a", "b", "c", "d")
+	r, mb := newModRouter(t, 2, "a", "b", "c", "d")
 	const m = 512
 	for i := 0; i < m; i++ {
 		if _, err := r.Place(fmt.Sprintf("key-%d", i)); err != nil {
@@ -139,7 +141,7 @@ func TestCoreRebalanceAfterTopologyChange(t *testing.T) {
 		}
 	}
 	victim := r.Loads()["b"]
-	if err := r.Update(func(tx *Txn) (Topology, error) {
+	if err := mb.Update(journal.Entry{}, func(tx *Txn) (Topology, error) {
 		if _, err := tx.Remove("b"); err != nil {
 			return nil, err
 		}
@@ -163,7 +165,7 @@ func TestCoreRebalanceAfterTopologyChange(t *testing.T) {
 }
 
 func TestCoreSetCapacity(t *testing.T) {
-	r := newModRouter(t, 2, "a", "b")
+	r, _ := newModRouter(t, 2, "a", "b")
 	if err := r.SetCapacity("a", 0); err == nil {
 		t.Error("zero capacity accepted")
 	}
@@ -179,7 +181,7 @@ func TestCoreSetCapacity(t *testing.T) {
 }
 
 func TestCoreLoadsInto(t *testing.T) {
-	r := newModRouter(t, 2, "a", "b", "c")
+	r, _ := newModRouter(t, 2, "a", "b", "c")
 	for i := 0; i < 300; i++ {
 		if _, err := r.Place(fmt.Sprintf("key-%d", i)); err != nil {
 			t.Fatal(err)
@@ -205,7 +207,7 @@ func TestCoreLoadsInto(t *testing.T) {
 }
 
 func TestCoreServersSorted(t *testing.T) {
-	r := newModRouter(t, 1, "zeta", "alpha", "mid")
+	r, _ := newModRouter(t, 1, "zeta", "alpha", "mid")
 	got := r.Servers()
 	if len(got) != 3 || got[0] != "alpha" || got[1] != "mid" || got[2] != "zeta" {
 		t.Fatalf("Servers() = %v", got)
@@ -234,12 +236,12 @@ func TestReplicatedTiesFollowChoiceOrder(t *testing.T) {
 	route("load-a", 0, 0, 0)
 	route("load-b", 1, 1, 1)
 	route("tie", 0, 1, 2)
-	r, err := New("stub", 3)
+	r, m, err := New("stub", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"a", "b", "c"} {
-		if err := r.Update(func(tx *Txn) (Topology, error) {
+		if err := m.Update(journal.Entry{}, func(tx *Txn) (Topology, error) {
 			_, err := tx.Add(name)
 			return topo, err
 		}); err != nil {
