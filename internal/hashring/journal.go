@@ -33,10 +33,9 @@ func (r *Ring) StartJournal(dir string, opts journal.Options) (*journal.Log, err
 func (r *Ring) CompactJournal() error { return r.m.CompactJournal(nil) }
 
 // Restart crashes the ring and recovers it in place from its attached
-// journal through Recover; see router.Membership.Restart. opts
-// configures the recovered journal.
-func (r *Ring) Restart(opts journal.Options) (*journal.Recovered, error) {
-	return r.m.Restart(r.header(), func(dir string) (*router.Router, *journal.Recovered, error) {
+// journal through Recover; see router.Membership.Restart.
+func (r *Ring) Restart() (*journal.Recovered, error) {
+	return r.m.Restart(r.header(), func(dir string, opts journal.Options) (*router.Router, *journal.Recovered, error) {
 		fresh, rec, err := Recover(dir, opts)
 		if err != nil {
 			return nil, nil, err

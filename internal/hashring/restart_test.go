@@ -111,7 +111,7 @@ func TestRingRestartUnderTraffic(t *testing.T) {
 		for target := ops.Load() + 200; ops.Load() < target && !stop.Load(); {
 			runtime.Gosched()
 		}
-		if _, err := r.Restart(journal.Options{}); err != nil {
+		if _, err := r.Restart(); err != nil {
 			stop.Store(true)
 			wg.Wait()
 			t.Fatalf("restart %d: %v", i, err)
@@ -165,7 +165,7 @@ func TestRingRestartRefusals(t *testing.T) {
 		}
 	}
 	opts := journal.Options{NoSync: true}
-	_, err = r.Restart(opts)
+	_, err = r.Restart()
 	untouched("without a journal", err)
 	dir := t.TempDir()
 	if _, err := r.StartJournal(dir, opts); err != nil {
@@ -184,7 +184,7 @@ func TestRingRestartRefusals(t *testing.T) {
 		if err := lg.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, err = r.Restart(opts)
+		_, err = r.Restart()
 		untouched(fmt.Sprintf("onto %+v", hdr), err)
 	}
 }

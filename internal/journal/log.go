@@ -160,6 +160,9 @@ func (l *Log) SnapshotPath() string { return l.path(snapName) }
 // Dir returns the journal directory.
 func (l *Log) Dir() string { return l.dir }
 
+// Options returns the options the log was created or opened with.
+func (l *Log) Options() Options { return l.opts }
+
 // LSN returns the last assigned log sequence number.
 func (l *Log) LSN() uint64 {
 	l.mu.Lock()

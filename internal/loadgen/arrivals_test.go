@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,5 +207,11 @@ func TestOpenLoopInstrumented(t *testing.T) {
 	routerLookups := reg.Counter("router_locates_total", "")
 	if got := routerLookups.Value(); got < res.Lookups {
 		t.Errorf("router_locates_total = %d, below harness count %d", got, res.Lookups)
+	}
+	// The run had no journal, so it exports no journal_* series.
+	var dump strings.Builder
+	reg.WritePrometheus(&dump)
+	if strings.Contains(dump.String(), "journal_") {
+		t.Errorf("a run without a journal exports journal_* series:\n%s", dump.String())
 	}
 }

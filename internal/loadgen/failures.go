@@ -201,7 +201,7 @@ func (h *harness) fireFailure(ev FailureEvent, fr *rng.Rand) FailureOutcome {
 		// traffic blocked on the restart resumes against the recovered
 		// state. On a failed recovery the router keeps its state and
 		// the run keeps serving.
-		rec, err := target.Restart(h.jopts)
+		rec, err := target.Restart()
 		if err != nil {
 			out.Err = err.Error()
 			return out

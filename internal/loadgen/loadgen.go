@@ -64,7 +64,7 @@ type Target interface {
 	PlanMigration(limit int) *router.MigrationPlan
 	Instrument(reg *metrics.Registry) *router.Metrics
 	StartJournal(dir string, opts journal.Options) (*journal.Log, error)
-	Restart(opts journal.Options) (*journal.Recovered, error)
+	Restart() (*journal.Recovered, error)
 	CloseJournal() error
 	Servers() []string
 	NumKeys() int
@@ -375,8 +375,7 @@ type harness struct {
 	rk       workload.Ranker
 	hot      []string // the preloaded keys lookups draw from
 	lm       *LoadMetrics
-	jopts    journal.Options // the journal's options, reused by kill restarts
-	failover bool            // reads fail over (LocateAny) and the audit counts lost keys
+	failover bool // reads fail over (LocateAny) and the audit counts lost keys
 
 	// Set when the traffic starts.
 	start time.Time
@@ -421,13 +420,12 @@ func build(cfg Config) (*harness, error) {
 		}
 	}
 	// Optional instrumentation: router_* on the target, loadgen_* for
-	// the harness's own traffic, journal_* on the journal. Nil stays on
-	// the uninstrumented paths.
+	// the harness's own traffic, and journal_* on the journal when the
+	// run is durable. Nil stays on the uninstrumented paths.
 	if cfg.Registry != nil {
 		h.target.Instrument(cfg.Registry)
 		h.lm = NewLoadMetrics(cfg.Registry)
 		h.lm.Workers.Set(int64(cfg.Workers))
-		h.jopts.Metrics = journal.NewMetrics(cfg.Registry)
 	}
 	// Preload the hot-key space the Locate traffic reads. The bound is
 	// armed only afterwards: preloaded keys are the pre-existing data
@@ -448,7 +446,11 @@ func build(cfg Config) (*harness, error) {
 	// snapshot carries the initial fleet and hot-key set and the WAL
 	// records only the run's own mutations.
 	if cfg.JournalDir != "" {
-		if _, err := h.target.StartJournal(cfg.JournalDir, h.jopts); err != nil {
+		var jopts journal.Options
+		if cfg.Registry != nil {
+			jopts.Metrics = journal.NewMetrics(cfg.Registry)
+		}
+		if _, err := h.target.StartJournal(cfg.JournalDir, jopts); err != nil {
 			return nil, err
 		}
 	}

@@ -96,25 +96,25 @@ func (r *Router) CloseJournal() error {
 // time. An error when no journal is attached.
 func (m *Membership) CompactJournal(coords CoordsFunc) error {
 	r := m.r
+	r.stopWorld()
+	defer r.startWorld()
 	lg := r.jl.Load()
 	if lg == nil {
 		return fmt.Errorf("%s: no journal attached", r.name)
 	}
-	r.stopWorld()
-	defer r.startWorld()
 	return lg.Compact(r.captureStateLocked(coords))
 }
 
 // Restart crashes the router and recovers it in place from its
 // attached journal: stop the world, flush the journal, recover a fresh
-// core from the journal directory with the facade's load (its
-// Recover constructor), check that the journal's header is hdr, then
+// core from the journal's directory and options with the facade's load
+// (its Recover constructor), check that the journal's header is hdr, then
 // install the fresh core's snapshot, key records, key count and journal
 // and close the old journal. Calls blocked on the locks resume against
 // the recovered state; the metrics stay attached. Without a journal, or
 // when recovery fails or finds another header, Restart returns an error
 // and the router keeps its state and journal.
-func (m *Membership) Restart(hdr journal.Header, load func(dir string) (*Router, *journal.Recovered, error)) (*journal.Recovered, error) {
+func (m *Membership) Restart(hdr journal.Header, load func(dir string, opts journal.Options) (*Router, *journal.Recovered, error)) (*journal.Recovered, error) {
 	r := m.r
 	r.stopWorld()
 	defer r.startWorld()
@@ -125,7 +125,7 @@ func (m *Membership) Restart(hdr journal.Header, load func(dir string) (*Router,
 	// A failed flush loses only what a crash would lose: recovery
 	// replays the durable prefix.
 	_ = lg.Sync()
-	fresh, rec, err := load(lg.Dir())
+	fresh, rec, err := load(lg.Dir(), lg.Options())
 	if err != nil {
 		return nil, err
 	}
@@ -336,10 +336,9 @@ func (g *Geo) StartJournal(dir string, opts journal.Options) (*journal.Log, erro
 func (g *Geo) CompactJournal() error { return g.m.CompactJournal(geoCoords) }
 
 // Restart crashes the router and recovers it in place from its
-// attached journal through RecoverGeo; see Membership.Restart. opts
-// configures the recovered journal.
-func (g *Geo) Restart(opts journal.Options) (*journal.Recovered, error) {
-	return g.m.Restart(g.header(), func(dir string) (*Router, *journal.Recovered, error) {
+// attached journal through RecoverGeo; see Membership.Restart.
+func (g *Geo) Restart() (*journal.Recovered, error) {
+	return g.m.Restart(g.header(), func(dir string, opts journal.Options) (*Router, *journal.Recovered, error) {
 		fresh, rec, err := RecoverGeo(dir, opts)
 		if err != nil {
 			return nil, nil, err

@@ -8,8 +8,8 @@
 //     stable top-R by relative load, in a single scan;
 //   - commit: the per-key place and remove steps under the held
 //     key-shard lock, then, with a journal attached, one write-ahead
-//     append for the call (every step rolled back if it fails), then one
-//     key-count and metrics tally.
+//     append for the call (every step rolled back if it fails), then the
+//     key-count change before the locks go and the metrics tally after.
 //
 // Scalar Place/Remove run the steps once, under one shard lock.
 // PlaceBatch/RemoveBatch loop the same steps over a block in input
@@ -147,8 +147,10 @@ type commit struct {
 	ents    []journal.Entry // a batch's journal entry buffer
 	out     []BatchResult   // a batch's results, failed by a rollback
 
-	// The tally report publishes: the key-count change, then the
-	// bounded-load forwards and rejections.
+	// The tally. keys joins the key count before the shard locks are
+	// released: a restart swaps the count under every shard lock, so it
+	// must not fall between a record change and its count. report
+	// publishes the rest after the locks.
 	keys, forwards, rejects int64
 }
 
@@ -234,14 +236,9 @@ func (c *commit) entry(u undo) journal.Entry {
 	return journal.Entry{Op: journal.OpRemoveKey, Name: u.key}
 }
 
-// report publishes the call's tally to the key count and the metrics.
-// h is the counter shard hint. The caller still holds the shard locks:
-// a restart swaps the key count under every shard lock, so it must not
-// fall between a record change and its count.
+// report publishes the call's tally to the metrics, after the shard
+// locks are released. h is the counter shard hint.
 func (c *commit) report(h uint64) {
-	if c.keys != 0 {
-		c.r.nkeys.Add(c.keys)
-	}
 	m := c.r.met.Load()
 	if m == nil {
 		return
@@ -277,8 +274,9 @@ func (r *Router) place(key string) (*Snapshot, keyRec, error) {
 	} else if rec, err = c.place(ks, key, h0, c.t.resolve(key, h0, &cb)); err == nil && c.lg != nil {
 		err = c.journal([]undo{{key: key, h0: h0, rec: rec}})
 	}
-	c.report(h0)
+	c.r.nkeys.Add(c.keys)
 	ks.mu.Unlock()
+	c.report(h0)
 	return c.t, rec, err
 }
 
@@ -343,8 +341,9 @@ func (r *Router) Remove(key string) error {
 	if err == nil && c.lg != nil {
 		err = c.journal([]undo{{key: key, h0: h0, rec: rec}})
 	}
-	c.report(h0)
+	c.r.nkeys.Add(c.keys)
 	ks.mu.Unlock()
+	c.report(h0)
 	return err
 }
 
@@ -540,8 +539,9 @@ func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 	if len(steps) > 0 {
 		c.journal(steps)
 	}
-	c.report(sc.h0s[0])
+	c.r.nkeys.Add(c.keys)
 	r.unlockShards(mask)
+	c.report(sc.h0s[0])
 	r.batchEnd(sc, c.ents, steps)
 }
 
@@ -631,7 +631,8 @@ func (r *Router) RemoveBatch(keys []string, out []BatchResult) {
 	if len(steps) > 0 {
 		c.journal(steps)
 	}
-	c.report(sc.h0s[0])
+	c.r.nkeys.Add(c.keys)
 	r.unlockShards(mask)
+	c.report(sc.h0s[0])
 	r.batchEnd(sc, c.ents, steps)
 }

@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"geobalance/internal/geom"
 	"geobalance/internal/journal"
@@ -110,7 +112,7 @@ func TestRestartUnderTraffic(t *testing.T) {
 		for target := ops.Load() + 500; ops.Load() < target && !stop.Load(); {
 			runtime.Gosched()
 		}
-		rec, err := g.Restart(opts)
+		rec, err := g.Restart()
 		if err != nil {
 			stop.Store(true)
 			wg.Wait()
@@ -118,6 +120,9 @@ func TestRestartUnderTraffic(t *testing.T) {
 		}
 		if len(rec.Entries) == 0 {
 			t.Errorf("restart %d replayed nothing", i)
+		}
+		if got := g.Journal().Options(); got != opts {
+			t.Errorf("restart %d: journal options %+v, want %+v", i, got, opts)
 		}
 	}
 	stop.Store(true)
@@ -168,7 +173,7 @@ func TestRestartRefusals(t *testing.T) {
 		}
 	}
 	opts := journal.Options{NoSync: true}
-	_, err := g.Restart(opts)
+	_, err := g.Restart()
 	untouched("without a journal", err)
 	dir := t.TempDir()
 	if _, err := g.StartJournal(dir, opts); err != nil {
@@ -186,7 +191,7 @@ func TestRestartRefusals(t *testing.T) {
 		if err := lg.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, err = g.Restart(opts)
+		_, err = g.Restart()
 		untouched(fmt.Sprintf("onto %+v", hdr), err)
 	}
 	if err := g.CloseJournal(); err != nil {
@@ -196,7 +201,7 @@ func TestRestartRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.CloseJournal()
-	if _, err := g.Restart(opts); err != nil {
+	if _, err := g.Restart(); err != nil {
 		t.Fatal(err)
 	}
 	if g.NumKeys() != n {
@@ -204,6 +209,30 @@ func TestRestartRefusals(t *testing.T) {
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompactRacingClose: a CompactJournal queued behind a
+// CloseJournal finds no journal attached; it must not compact the log
+// the close has just shut. The test holds the writer mutex so both
+// calls queue on it, the close first.
+func TestCompactRacingClose(t *testing.T) {
+	g := newTestGeo(t, 8, 2, 2, 7)
+	if _, err := g.StartJournal(t.TempDir(), journal.Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	closed, compacted := make(chan error), make(chan error)
+	g.mu.Lock()
+	go func() { closed <- g.CloseJournal() }()
+	time.Sleep(20 * time.Millisecond)
+	go func() { compacted <- g.CompactJournal() }()
+	time.Sleep(20 * time.Millisecond)
+	g.mu.Unlock()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-compacted; err != nil && !strings.Contains(err.Error(), "no journal attached") {
+		t.Fatalf("compact queued behind close: %v", err)
 	}
 }
 
