@@ -2,6 +2,7 @@ package hashring
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -186,5 +187,16 @@ func TestRingRestartRefusals(t *testing.T) {
 		}
 		_, err = r.Restart()
 		untouched(fmt.Sprintf("onto %+v", hdr), err)
+	}
+}
+
+// TestRingMembershipOnlyThroughHandle: the membership, replay and
+// journal-attachment methods of router.Membership are not reachable
+// through a *Ring or its embedded *router.Router.
+func TestRingMembershipOnlyThroughHandle(t *testing.T) {
+	for _, name := range []string{"Update", "UpdateJournaled", "Replay", "SetJournal"} {
+		if _, ok := reflect.TypeOf(&Ring{}).MethodByName(name); ok {
+			t.Errorf("Ring has method %s", name)
+		}
 	}
 }
