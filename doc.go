@@ -98,11 +98,12 @@
 //     atomic.Pointer — membership ops copy-on-write a clone through a
 //     Txn, attach the facade-built topology, and republish, so
 //     d-choice lookups are lock-free, allocation-free, and can never
-//     observe a half-applied change. Per-server load lives in
-//     cache-line-padded sharded counters folded on demand
-//     (LoadsInto is the allocation-free reporting form); key records
-//     in a hash-sharded map; Place/Locate/Remove/Rebalance and the
-//     invariant checker are all generic over a small Topology
+//     observe a half-applied change. Per-server load lives in one
+//     cache-line-padded atomic counter per slot (LoadsInto is the
+//     allocation-free reporting form); key records in 64 hash-sharded
+//     open-addressing tables that Locate reads lock-free under a
+//     per-table sequence number; Place/Locate/Remove/Rebalance and
+//     the invariant checker are all generic over a small Topology
 //     interface (resolve a hashed key to the owning server slot).
 //   - internal/hashring is the ring facade: servers hash to sorted
 //     points in internal/jump form, a key hash resolves to its arc

@@ -18,10 +18,10 @@
 // through an internal/jump index (ringTopo, the router.Topology and
 // router.BlockTopology implementation). Everything else — the
 // immutable snapshot publication, copy-on-write membership,
-// cache-line-padded sharded load counters, hash-sharded key records,
-// the resolve → select → commit serving pipeline behind
-// Place/Locate/Remove and their batch forms, Rebalance/Repair and
-// journal replay — is the space-agnostic serving core in
+// per-slot load counters, hash-sharded key tables, the resolve →
+// select → commit serving pipeline behind Place/Locate/Remove and
+// their batch forms, Rebalance/Repair and journal replay — is the
+// space-agnostic serving core in
 // internal/router, shared verbatim with the torus-backed router.Geo.
 // Ring embeds the core's *router.Router, so those methods are the
 // core's own, and keeps the router.Membership handle through which it
@@ -38,13 +38,14 @@
 // SetCapacity) serialize on a writer mutex, copy-on-write a new
 // snapshot, and publish it atomically.
 //
-// Per-server load is kept in sharded counters (each shard on its own
-// cache line to avoid false sharing) that are carried by pointer across
-// snapshots; Place/Remove touch one shard with an atomic add, and
-// Loads/MaxLoad/Rebalance fold the shards on demand. Key records are
-// held in a hash-sharded map so concurrent Place/Locate/Remove on
-// different keys rarely contend; the candidate resolution itself never
-// blocks on these shards.
+// Per-server load is one counter per server slot, on its own cache
+// line and carried by pointer across snapshots; Place/Remove add to it
+// atomically. Key records live in 64 hash-sharded key tables, so
+// writers on different keys rarely contend, and Locate, LocateAny,
+// Owners and LocateBatch read a table without its lock: they check the
+// table's sequence number around the probe instead, and take the lock
+// only after repeated conflicts with a writer. The candidate resolution
+// itself never blocks on these shards.
 //
 // Place, Locate, and Remove on an unchanged ring are allocation-free
 // (guarded by TestReadPathAllocs).

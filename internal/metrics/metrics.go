@@ -6,9 +6,9 @@
 // The design goals mirror the serving path it instruments:
 //
 //   - Updates on the hot path are one atomic add on a cache-line-padded
-//     shard (the same sharding style as router.SlotLoad), never a lock,
-//     and never an allocation — so a counter increment can sit inside
-//     the router's zero-alloc guarded Place/Locate paths.
+//     counter shard picked by a caller-supplied hint, never a lock, and
+//     never an allocation — so a counter increment can sit inside the
+//     router's zero-alloc guarded Place/Locate paths.
 //   - Instrumentation is OPTIONAL and nil-checked at the call site:
 //     packages hold a pointer to their metric set and skip the update
 //     when it is nil, so a router without metrics attached pays one

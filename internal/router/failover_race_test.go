@@ -158,16 +158,7 @@ func TestFailoverRacingRebalance(t *testing.T) {
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatalf("after racing failover: %v", err)
 	}
-	var all []string
-	for i := range g.keys {
-		ks := &g.keys[i]
-		ks.mu.RLock()
-		for key := range ks.m {
-			all = append(all, key)
-		}
-		ks.mu.RUnlock()
-	}
-	for _, key := range all {
+	for key := range g.records() {
 		if _, err := g.LocateAny(key); err != nil {
 			t.Fatalf("key %q unreadable at quiescence: %v", key, err)
 		}

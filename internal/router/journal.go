@@ -109,8 +109,8 @@ func (m *Membership) CompactJournal(coords CoordsFunc) error {
 // attached journal: stop the world, flush the journal, recover a fresh
 // core from the journal's directory and options with the facade's load
 // (its Recover constructor), check that the journal's header is hdr, then
-// install the fresh core's snapshot, key records, key count and journal
-// and close the old journal. Calls blocked on the locks resume against
+// install the fresh core's snapshot, key tables (records and counts) and
+// journal and close the old journal. Calls blocked on the locks resume against
 // the recovered state; the metrics stay attached. Without a journal, or
 // when recovery fails or finds another header, Restart returns an error
 // and the router keeps its state and journal.
@@ -135,9 +135,8 @@ func (m *Membership) Restart(hdr journal.Header, load func(dir string, opts jour
 	}
 	r.snap.Store(fresh.snap.Load())
 	for i := range r.keys {
-		r.keys[i].m = fresh.keys[i].m
+		r.keys[i].adopt(&fresh.keys[i])
 	}
-	r.nkeys.Store(fresh.nkeys.Load())
 	r.jl.Store(fresh.jl.Load())
 	// Nothing appended since the flush; the fresh journal owns the files.
 	_ = lg.Close()
@@ -156,7 +155,7 @@ func (m *Membership) Restart(hdr journal.Header, load func(dir string, opts jour
 // itself is order-independent across distinct keys).
 func (r *Router) captureStateLocked(coords CoordsFunc) []journal.Entry {
 	t := r.snap.Load()
-	state := make([]journal.Entry, 0, len(t.Names)+int(r.nkeys.Load())+4)
+	state := make([]journal.Entry, 0, len(t.Names)+r.NumKeys()+4)
 	for i, name := range t.Names {
 		e := journal.Entry{Op: journal.OpAddServer, Name: name, Value: t.Caps[i]}
 		if coords != nil {
@@ -182,9 +181,9 @@ func (r *Router) captureStateLocked(coords CoordsFunc) []journal.Entry {
 	}
 	keyAt := len(state)
 	for i := range r.keys {
-		for key, rec := range r.keys[i].m {
+		r.keys[i].each(func(key string, _ uint64, rec keyRec) {
 			state = append(state, journal.Entry{Op: journal.OpPlace, Name: key, Rec: recToJournal(rec)})
-		}
+		})
 	}
 	keys := state[keyAt:]
 	sort.Slice(keys, func(a, b int) bool { return keys[a].Name < keys[b].Name })
@@ -271,10 +270,10 @@ func (m *Membership) Replay(es []journal.Entry, add func(e *journal.Entry) error
 func (r *Router) replayKey(e *journal.Entry) error {
 	h0 := Hash('k', 0, e.Name)
 	ks := r.keyShardFor(h0)
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
+	ks.lock()
+	defer ks.unlock()
 	t := r.snap.Load()
-	old, placed := ks.m[e.Name]
+	old, placed := ks.getLocked(h0, e.Name)
 	switch {
 	case placed && e.Op == journal.OpPlace:
 		return fmt.Errorf("key %q placed twice", e.Name)
@@ -289,17 +288,14 @@ func (r *Router) replayKey(e *journal.Entry) error {
 		}
 	}
 	if placed {
-		old.addLoads(t, h0, -1)
-	} else {
-		r.nkeys.Add(1)
+		old.addLoads(t, -1)
 	}
 	if e.Op == journal.OpRemoveKey {
-		delete(ks.m, e.Name)
-		r.nkeys.Add(-1)
+		ks.del(h0, e.Name)
 		return nil
 	}
-	rec.addLoads(t, h0, 1)
-	ks.m[e.Name] = rec
+	rec.addLoads(t, 1)
+	ks.put(h0, e.Name, rec)
 	return nil
 }
 

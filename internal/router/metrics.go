@@ -75,7 +75,7 @@ func (r *Router) RegisterSlotLoads(reg *metrics.Registry) {
 	reg.GaugeFunc("router_max_load", "largest key count over live servers",
 		func() float64 { return float64(r.MaxLoad()) })
 	reg.GaugeFunc("router_keys", "currently placed keys",
-		func() float64 { return float64(r.nkeys.Load()) })
+		func() float64 { return float64(r.NumKeys()) })
 	reg.GaugeFunc("router_live_servers", "live servers",
 		func() float64 { return float64(r.NumServers()) })
 }

@@ -158,8 +158,8 @@ func (p *MigrationPlan) ApplyBatch(max int) (applied, skipped int) {
 		p.next++
 		h0 := Hash('k', 0, op.key)
 		ks := r.keyShardFor(h0)
-		ks.mu.Lock()
-		cur, ok := ks.m[op.key]
+		ks.lock()
+		cur, ok := ks.getLocked(h0, op.key)
 		legal := ok && cur == op.old
 		if legal && !sameSnap {
 			_, _, err := t.check(op.key, h0, op.new, nil, &cb)
@@ -170,7 +170,7 @@ func (p *MigrationPlan) ApplyBatch(max int) (applied, skipped int) {
 		} else {
 			skipped++
 		}
-		ks.mu.Unlock()
+		ks.unlock()
 	}
 	p.applied += applied
 	p.skipped += skipped

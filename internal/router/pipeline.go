@@ -8,8 +8,8 @@
 //     stable top-R by relative load, in a single scan;
 //   - commit: the per-key place and remove steps under the held
 //     key-shard lock, then, with a journal attached, one write-ahead
-//     append for the call (every step rolled back if it fails), then the
-//     key-count change before the locks go and the metrics tally after.
+//     append for the call (every step rolled back if it fails), and the
+//     metrics tally after the locks go.
 //
 // Scalar Place/Remove run the steps once, under one shard lock.
 // PlaceBatch/RemoveBatch loop the same steps over a block in input
@@ -20,7 +20,9 @@
 // stop-the-world journal paths) locks shards in ascending order and
 // every other path holds at most one, so there is no lock-order cycle.
 // Holding the locks across the append is the write-ahead rule: no
-// change becomes visible before its record is durable.
+// change becomes visible before its record is durable. The lock-free
+// readers keep it too, since a held shard lock keeps the shard's
+// sequence odd (keytable.go).
 package router
 
 import (
@@ -147,10 +149,7 @@ type commit struct {
 	ents    []journal.Entry // a batch's journal entry buffer
 	out     []BatchResult   // a batch's results, failed by a rollback
 
-	// The tally. keys joins the key count before the shard locks are
-	// released: a restart swaps the count under every shard lock, so it
-	// must not fall between a record change and its count. report
-	// publishes the rest after the locks.
+	// The tally, which report publishes after the shard locks.
 	keys, forwards, rejects int64
 }
 
@@ -161,8 +160,8 @@ func (r *Router) begin(t *Snapshot, placing bool) commit {
 // place is the per-key place step: refuse a duplicate, select the record
 // from cands, then charge and store it. The caller holds the key's shard
 // lock and, with a journal attached, passes the step to journal.
-func (c *commit) place(ks *keyShard, key string, h0 uint64, cands []int32) (keyRec, error) {
-	if _, dup := ks.m[key]; dup {
+func (c *commit) place(ks *keyTable, key string, h0 uint64, cands []int32) (keyRec, error) {
+	if _, dup := ks.getLocked(h0, key); dup {
 		return keyRec{}, fmt.Errorf("%s: key %q already placed", c.r.name, key)
 	}
 	rec, skipped, overshoot := c.t.choose(cands, nil, true)
@@ -171,8 +170,8 @@ func (c *commit) place(ks *keyShard, key string, h0 uint64, cands []int32) (keyR
 		c.rejects++
 		return rec, &OverloadedError{Router: c.r.name, Key: key, RetryAfter: retryAfter(overshoot)}
 	}
-	rec.addLoads(c.t, h0, 1)
-	ks.m[key] = rec
+	rec.addLoads(c.t, 1)
+	ks.put(h0, key, rec)
 	c.keys++
 	return rec, nil
 }
@@ -180,13 +179,12 @@ func (c *commit) place(ks *keyShard, key string, h0 uint64, cands []int32) (keyR
 // remove is the per-key remove step: delete the record and uncharge
 // it. The caller holds the key's shard lock and, with a journal
 // attached, passes the step to journal.
-func (c *commit) remove(ks *keyShard, key string, h0 uint64) (keyRec, error) {
-	rec, ok := ks.m[key]
+func (c *commit) remove(ks *keyTable, key string, h0 uint64) (keyRec, error) {
+	rec, ok := ks.del(h0, key)
 	if !ok {
 		return rec, fmt.Errorf("%s: key %q not placed", c.r.name, key)
 	}
-	delete(ks.m, key)
-	rec.addLoads(c.t, h0, -1)
+	rec.addLoads(c.t, -1)
 	c.keys--
 	return rec, nil
 }
@@ -213,12 +211,12 @@ func (c *commit) journal(steps []undo) error {
 	for _, u := range steps {
 		ks := c.r.keyShardFor(u.h0)
 		if c.placing {
-			delete(ks.m, u.key)
-			u.rec.addLoads(c.t, u.h0, -1)
+			ks.del(u.h0, u.key)
+			u.rec.addLoads(c.t, -1)
 			c.keys--
 		} else {
-			ks.m[u.key] = u.rec
-			u.rec.addLoads(c.t, u.h0, 1)
+			ks.put(u.h0, u.key, u.rec)
+			u.rec.addLoads(c.t, 1)
 			c.keys++
 		}
 		if c.out != nil {
@@ -267,15 +265,14 @@ func (r *Router) place(key string) (*Snapshot, keyRec, error) {
 		rec keyRec
 		err error
 	)
-	ks.mu.Lock()
+	ks.lock()
 	c := r.begin(r.snap.Load(), true)
 	if c.t.Live == 0 {
 		err = fmt.Errorf("%s: no servers", r.name)
 	} else if rec, err = c.place(ks, key, h0, c.t.resolve(key, h0, &cb)); err == nil && c.lg != nil {
 		err = c.journal([]undo{{key: key, h0: h0, rec: rec}})
 	}
-	c.r.nkeys.Add(c.keys)
-	ks.mu.Unlock()
+	ks.unlock()
 	c.report(h0)
 	return c.t, rec, err
 }
@@ -318,31 +315,27 @@ func (r *Router) PlaceReplicated(key string) (string, int, error) {
 // skip dead and draining replicas are LocateAny.
 func (r *Router) Locate(key string) (string, error) {
 	h0 := Hash('k', 0, key)
-	ks := r.keyShardFor(h0)
-	ks.mu.RLock()
-	rec, ok := ks.m[key]
-	ks.mu.RUnlock()
-	if !ok {
+	pr := r.keyShardFor(h0).get(h0, key)
+	if !pr.ok() {
 		return "", fmt.Errorf("%s: key %q not placed", r.name, key)
 	}
 	if m := r.met.Load(); m != nil {
 		m.Locates.Inc(h0)
 	}
-	return r.snap.Load().Names[rec.slots[0]], nil
+	return r.snap.Load().Names[pr.primary()], nil
 }
 
 // Remove deletes a placed key from every replica.
 func (r *Router) Remove(key string) error {
 	h0 := Hash('k', 0, key)
 	ks := r.keyShardFor(h0)
-	ks.mu.Lock()
+	ks.lock()
 	c := r.begin(r.snap.Load(), false)
 	rec, err := c.remove(ks, key, h0)
 	if err == nil && c.lg != nil {
 		err = c.journal([]undo{{key: key, h0: h0, rec: rec}})
 	}
-	c.r.nkeys.Add(c.keys)
-	ks.mu.Unlock()
+	ks.unlock()
 	c.report(h0)
 	return err
 }
@@ -396,8 +389,6 @@ type batchScratch struct {
 	h0s   []uint64        // per-key first-choice hash
 	hs    []uint64        // q*D candidate hashes, key-major
 	cand  []int32         // q*D resolved candidate slots
-	ord   []int32         // key indices grouped by shard (LocateBatch)
-	cnt   [65]int32       // shard-bucket counting sort
 	ents  []journal.Entry // write-ahead records for the batch
 	steps []undo          // journaled steps, for rollback
 	res   ResolveScratch
@@ -457,7 +448,7 @@ func shardMask(h0s []uint64) uint64 {
 func (r *Router) lockShards(mask uint64) {
 	for i := 0; i < keyShardCount; i++ {
 		if mask&(1<<uint(i)) != 0 {
-			r.keys[i].mu.Lock()
+			r.keys[i].lock()
 		}
 	}
 }
@@ -465,7 +456,7 @@ func (r *Router) lockShards(mask uint64) {
 func (r *Router) unlockShards(mask uint64) {
 	for i := 0; i < keyShardCount; i++ {
 		if mask&(1<<uint(i)) != 0 {
-			r.keys[i].mu.Unlock()
+			r.keys[i].unlock()
 		}
 	}
 }
@@ -539,69 +530,35 @@ func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 	if len(steps) > 0 {
 		c.journal(steps)
 	}
-	c.r.nkeys.Add(c.keys)
 	r.unlockShards(mask)
 	c.report(sc.h0s[0])
 	r.batchEnd(sc, c.ents, steps)
 }
 
-// groupByShard fills sc.ord with the key indices grouped by ascending
-// key shard (a counting sort over the 64 shard buckets), so a batch
-// can process each shard's keys contiguously under one lock hold.
-func (sc *batchScratch) groupByShard(h0s []uint64) []int32 {
-	sc.ord = grow(sc.ord, len(h0s))
-	cnt := &sc.cnt
-	*cnt = [65]int32{}
-	for _, h := range h0s {
-		cnt[(h&(keyShardCount-1))+1]++
-	}
-	for s := 1; s < len(cnt); s++ {
-		cnt[s] += cnt[s-1]
-	}
-	for i, h := range h0s {
-		s := h & (keyShardCount - 1)
-		sc.ord[cnt[s]] = int32(i)
-		cnt[s]++
-	}
-	return sc.ord
-}
-
-// LocateBatch looks up a block of placed keys with one snapshot load
-// and one read-lock hold per involved key shard. out[i] receives key
-// i's recorded primary (dead or not — the scalar Locate contract) or
-// a not-placed error; len(out) must equal len(keys).
+// LocateBatch looks up a block of placed keys against one snapshot
+// load, each read as the scalar Locate reads it. out[i] receives key
+// i's recorded primary (dead or not — the scalar Locate contract) or a
+// not-placed error; len(out) must equal len(keys).
 func (r *Router) LocateBatch(keys []string, out []BatchResult) {
 	sc := r.batchStart("LocateBatch", keys, out)
 	if sc == nil {
 		return
 	}
 	defer r.bpool.Put(sc)
-	h0s := sc.h0s
-	ord := sc.groupByShard(h0s)
 	t := r.snap.Load()
 	var served int64
-	for a := 0; a < len(ord); {
-		shard := h0s[ord[a]] & (keyShardCount - 1)
-		b := a
-		for b < len(ord) && h0s[ord[b]]&(keyShardCount-1) == shard {
-			b++
+	for i, key := range keys {
+		h0 := sc.h0s[i]
+		pr := r.keyShardFor(h0).get(h0, key)
+		if !pr.ok() {
+			out[i] = BatchResult{Err: fmt.Errorf("%s: key %q not placed", r.name, key)}
+			continue
 		}
-		ks := &r.keys[shard]
-		ks.mu.RLock()
-		for _, i := range ord[a:b] {
-			rec, ok := ks.m[keys[i]]
-			if !ok {
-				out[i] = BatchResult{Err: fmt.Errorf("%s: key %q not placed", r.name, keys[i])}
-				continue
-			}
-			out[i] = result(t, rec, nil)
-			served++
-		}
-		ks.mu.RUnlock()
-		a = b
+		out[i] = result(t, pr.rec(), nil)
+		served++
 	}
 	if m := r.met.Load(); m != nil && served > 0 {
-		m.Locates.Add(h0s[0], served)
+		m.Locates.Add(sc.h0s[0], served)
 	}
 }
 
@@ -631,7 +588,6 @@ func (r *Router) RemoveBatch(keys []string, out []BatchResult) {
 	if len(steps) > 0 {
 		c.journal(steps)
 	}
-	c.r.nkeys.Add(c.keys)
 	r.unlockShards(mask)
 	c.report(sc.h0s[0])
 	r.batchEnd(sc, c.ents, steps)

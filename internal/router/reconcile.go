@@ -92,7 +92,7 @@ func (t *Snapshot) checkChoice(key string, rec keyRec, full keyRec) error {
 type stray struct {
 	key   string
 	h0    uint64
-	ks    *keyShard
+	ks    *keyTable
 	rec   keyRec
 	full  keyRec
 	cands []int32
@@ -107,14 +107,12 @@ func (r *Router) reconcile(t *Snapshot, loads []int64, fix func(k *stray) bool) 
 	if t.Live == 0 {
 		return
 	}
-	keys := make([]string, 0, r.nkeys.Load())
+	keys := make([]string, 0, r.NumKeys())
 	for i := range r.keys {
 		ks := &r.keys[i]
-		ks.mu.RLock()
-		for k := range ks.m {
-			keys = append(keys, k)
-		}
-		ks.mu.RUnlock()
+		ks.lock()
+		ks.each(func(key string, _ uint64, _ keyRec) { keys = append(keys, key) })
+		ks.unlock()
 	}
 	slices.Sort(keys)
 	var (
@@ -124,16 +122,16 @@ func (r *Router) reconcile(t *Snapshot, loads []int64, fix func(k *stray) bool) 
 	for _, key := range keys {
 		k.key, k.h0 = key, Hash('k', 0, key)
 		k.ks = r.keyShardFor(k.h0)
-		k.ks.mu.Lock()
+		k.ks.lock()
 		var (
 			ok  bool
 			err error
 		)
-		if k.rec, ok = k.ks.m[key]; ok { // gone if removed while we walked
+		if k.rec, ok = k.ks.getLocked(k.h0, key); ok { // gone if removed while we walked
 			k.cands, k.full, err = t.check(key, k.h0, k.rec, loads, &cb)
 		}
 		more := !ok || err == nil || fix(&k)
-		k.ks.mu.Unlock()
+		k.ks.unlock()
 		if !more {
 			return
 		}
@@ -145,15 +143,15 @@ func (r *Router) reconcile(t *Snapshot, loads []int64, fix func(k *stray) bool) 
 // key's shard lock. The journal append is asynchronous — a lost tail
 // update leaves the old record, which the next pass re-homes — and a
 // failed append leaves the record as journaled and reports false.
-func (r *Router) swap(t *Snapshot, ks *keyShard, key string, h0 uint64, old, rec keyRec) bool {
+func (r *Router) swap(t *Snapshot, ks *keyTable, key string, h0 uint64, old, rec keyRec) bool {
 	if lg := r.jl.Load(); lg != nil {
 		if err := lg.AppendAsync(journal.Entry{Op: journal.OpUpdateRec, Name: key, Rec: recToJournal(rec)}); err != nil {
 			return false
 		}
 	}
-	old.addLoads(t, h0, -1)
-	rec.addLoads(t, h0, 1)
-	ks.m[key] = rec
+	old.addLoads(t, -1)
+	rec.addLoads(t, 1)
+	ks.put(h0, key, rec)
 	return true
 }
 

@@ -72,13 +72,11 @@ func (r *Router) SetDraining(name string, draining bool) error {
 // ErrNoLiveReplica. Allocation-free on the success path.
 func (r *Router) LocateAny(key string) (string, error) {
 	h0 := Hash('k', 0, key)
-	ks := r.keyShardFor(h0)
-	ks.mu.RLock()
-	rec, ok := ks.m[key]
-	ks.mu.RUnlock()
-	if !ok {
+	pr := r.keyShardFor(h0).get(h0, key)
+	if !pr.ok() {
 		return "", fmt.Errorf("%s: key %q not placed", r.name, key)
 	}
+	rec := pr.rec()
 	t := r.snap.Load()
 	m := r.met.Load()
 	// The first live serving replica, else the first live draining one.
@@ -112,13 +110,11 @@ func (r *Router) LocateAny(key string) (string, error) {
 // source of truth a repair works from) and returns the extended slice.
 func (r *Router) Owners(key string, dst []string) ([]string, error) {
 	h0 := Hash('k', 0, key)
-	ks := r.keyShardFor(h0)
-	ks.mu.RLock()
-	rec, ok := ks.m[key]
-	ks.mu.RUnlock()
-	if !ok {
+	pr := r.keyShardFor(h0).get(h0, key)
+	if !pr.ok() {
 		return dst, fmt.Errorf("%s: key %q not placed", r.name, key)
 	}
+	rec := pr.rec()
 	t := r.snap.Load()
 	for i := 0; i < int(rec.n); i++ {
 		dst = append(dst, t.Names[rec.slots[i]])

@@ -135,10 +135,8 @@ func TestRestartUnderTraffic(t *testing.T) {
 		acked = append(acked, held[w]...)
 	}
 	var got []string
-	for i := range g.keys {
-		for key := range g.keys[i].m {
-			got = append(got, key)
-		}
+	for key := range g.records() {
+		got = append(got, key)
 	}
 	slices.Sort(acked)
 	slices.Sort(got)
@@ -290,17 +288,15 @@ func TestCheckFirstStepAgrees(t *testing.T) {
 			t.Fatalf("%s: %v", step.name, err)
 		}
 		s := g.Snapshot()
-		for i := range g.keys {
-			for key, rec := range g.keys[i].m {
-				h0 := Hash('k', 0, key)
-				if cands, _, err := s.check(key, h0, rec, nil, &cb); err != nil || cands != nil {
-					continue
-				}
-				accepted++
-				full, _, _ := s.choose(s.resolve(key, h0, &cb), nil, false)
-				if err := s.checkChoice(key, rec, full); err != nil {
-					t.Fatalf("after %s: first step accepted a record the full check rejects: %v", step.name, err)
-				}
+		for key, rec := range g.records() {
+			h0 := Hash('k', 0, key)
+			if cands, _, err := s.check(key, h0, rec, nil, &cb); err != nil || cands != nil {
+				continue
+			}
+			accepted++
+			full, _, _ := s.choose(s.resolve(key, h0, &cb), nil, false)
+			if err := s.checkChoice(key, rec, full); err != nil {
+				t.Fatalf("after %s: first step accepted a record the full check rejects: %v", step.name, err)
 			}
 		}
 	}

@@ -34,15 +34,16 @@
 // a copy-on-write clone through a Txn, attach the topology the facade
 // builds for the new membership, and publish atomically.
 //
-// Per-slot load is kept in sharded counters (each shard on its own
-// cache line to avoid false sharing) carried by pointer across
-// snapshots; Place/Remove touch one shard with an atomic add, and
-// Loads/MaxLoad/Rebalance fold the shards on demand. Key records are
-// held in a hash-sharded map so concurrent Place/Locate/Remove on
-// different keys rarely contend; candidate resolution itself never
-// blocks on these shards. Place, Locate, and Remove on an unchanged
-// membership are allocation-free provided Topology.Resolve is (both
-// facades' are; AllocsPerRun-guarded in their tests).
+// Per-slot load is one counter per slot, on its own cache line and
+// carried by pointer across snapshots; Place/Remove add to it
+// atomically. Key records live in 64 hash-sharded key tables
+// (keytable.go): writers on different shards take different locks, and
+// Locate, LocateAny, Owners and LocateBatch read a table optimistically
+// under its sequence number, writing no shared memory, and take its
+// lock only after repeated conflicts with a writer. Candidate
+// resolution itself never blocks on these shards. Place, Locate, and Remove on an unchanged membership are
+// allocation-free provided Topology.Resolve is (both facades' are;
+// AllocsPerRun-guarded in their tests).
 package router
 
 import (
@@ -60,12 +61,7 @@ const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 
-	// loadShardCount is the number of per-slot load counter shards.
-	// Placements from different goroutines usually hit different
-	// shards, so the atomic adds do not serialize on one cache line.
-	loadShardCount = 8
-
-	// keyShardCount is the number of key-record map shards.
+	// keyShardCount is the number of key-record tables.
 	keyShardCount = 64
 
 	// MaxChoices bounds d so the per-key choice index fits the compact
@@ -73,8 +69,8 @@ const (
 	MaxChoices = 127
 
 	// MaxReplicas bounds the per-key replica count so a key record
-	// stays a small fixed-size map value: placements never allocate,
-	// and a record update under the shard lock is one value store. The
+	// stays a small fixed-size value: placements never allocate, and a
+	// record packs into three words of its key-table entry. The
 	// paper's d candidate locations are the replica sites, so r <= d
 	// always; fleets wanting more durability than 4-way replication
 	// want a storage system, not a placement router.
@@ -106,32 +102,20 @@ func Hash(label byte, salt int, s string) uint64 {
 // mantissa, the geometric spaces' native domain).
 func UnitFloat(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
-// loadShard is one cache-line-padded counter shard.
-type loadShard struct {
-	n atomic.Int64
-	_ [56]byte // pad to a 64-byte cache line
-}
-
-// SlotLoad is one slot's sharded load counter. The pointer is shared
-// across snapshots, so counts survive membership changes without a
-// stop-the-world transfer.
+// SlotLoad is one slot's load counter, padded to a 64-byte cache line
+// so neighbouring slots' counters do not share one. The pointer is
+// shared across snapshots, so counts survive membership changes
+// without a stop-the-world transfer.
 type SlotLoad struct {
-	shards [loadShardCount]loadShard
+	n atomic.Int64
+	_ [56]byte
 }
 
-// Add adds delta to the shard selected by the low bits of shard.
-func (l *SlotLoad) Add(shard uint64, delta int64) {
-	l.shards[shard&(loadShardCount-1)].n.Add(delta)
-}
+// Add adds delta to the counter.
+func (l *SlotLoad) Add(delta int64) { l.n.Add(delta) }
 
-// Total folds the shards.
-func (l *SlotLoad) Total() int64 {
-	var t int64
-	for i := range l.shards {
-		t += l.shards[i].n.Load()
-	}
-	return t
-}
+// Total returns the counter.
+func (l *SlotLoad) Total() int64 { return l.n.Load() }
 
 // Topology resolves a hashed key to the server slot owning the
 // location the hash maps to, against one immutable membership
@@ -266,20 +250,11 @@ type keyRec struct {
 
 // addLoads adjusts every replica's load counter (and the fleet-wide
 // total the bounded-load mean is computed from) by delta.
-func (rec *keyRec) addLoads(t *Snapshot, h0 uint64, delta int64) {
+func (rec *keyRec) addLoads(t *Snapshot, delta int64) {
 	for i := 0; i < int(rec.n); i++ {
-		t.Loads[rec.slots[i]].Add(h0, delta)
+		t.Loads[rec.slots[i]].Add(delta)
 	}
-	t.Total.Add(h0, delta*int64(rec.n))
-}
-
-// keyShard is one shard of the key-record map, padded to a full
-// 64-byte cache line (RWMutex 24 B + map header 8 B + 32 B) so
-// neighboring shards' lock words never share a line.
-type keyShard struct {
-	mu sync.RWMutex
-	m  map[string]keyRec
-	_  [32]byte
+	t.Total.Add(delta * int64(rec.n))
 }
 
 // Router is the generic concurrent d-choice serving core. Lookups
@@ -293,9 +268,8 @@ type Router struct {
 	snap  atomic.Pointer[Snapshot]
 	met   atomic.Pointer[Metrics]     // nil when uninstrumented (see metrics.go)
 	jl    atomic.Pointer[journal.Log] // nil when durability is off (see journal.go)
-	nkeys atomic.Int64
-	bpool sync.Pool // *batchScratch, reused across batch calls (pipeline.go)
-	keys  [keyShardCount]keyShard
+	bpool sync.Pool                   // *batchScratch, reused across batch calls (pipeline.go)
+	keys  [keyShardCount]keyTable
 }
 
 // New builds an empty router and its Membership handle. name prefixes
@@ -308,7 +282,7 @@ func New(name string, d int) (*Router, *Membership, error) {
 	}
 	r := &Router{name: name}
 	for i := range r.keys {
-		r.keys[i].m = make(map[string]keyRec)
+		r.keys[i].arr.Store(newKeyArrays())
 	}
 	r.snap.Store(&Snapshot{D: d, R: 1, name: name, index: make(map[string]int32), Total: &SlotLoad{}})
 	return r, &Membership{r: r}, nil
@@ -487,14 +461,13 @@ func (r *Router) Servers() []string {
 	return out
 }
 
-// keyShardFor picks the record shard for a key from its first-choice
-// hash (also reused as the load-counter shard selector).
-func (r *Router) keyShardFor(h0 uint64) *keyShard {
+// keyShardFor picks the record table for a key from its first-choice
+// hash.
+func (r *Router) keyShardFor(h0 uint64) *keyTable {
 	return &r.keys[h0&(keyShardCount-1)]
 }
 
-// Loads returns a map of live server name to current key count,
-// folding the counter shards on demand.
+// Loads returns a map of live server name to current key count.
 func (r *Router) Loads() map[string]int64 {
 	t := r.snap.Load()
 	out := make(map[string]int64, t.Live)
@@ -504,7 +477,7 @@ func (r *Router) Loads() map[string]int64 {
 
 // LoadsInto clears m and fills it with live server name -> key count.
 // Unlike Loads it performs no allocation once m has grown to the
-// membership size, so reporting loops can fold the counters every tick
+// membership size, so reporting loops can read the counters every tick
 // without garbage. (Map keys share the snapshot's name strings.)
 func (r *Router) LoadsInto(m map[string]int64) {
 	clear(m)
@@ -533,8 +506,15 @@ func (r *Router) MaxLoad() int64 {
 	return m
 }
 
-// NumKeys returns the number of placed keys.
-func (r *Router) NumKeys() int { return int(r.nkeys.Load()) }
+// NumKeys returns the number of placed keys: the key tables' counts,
+// summed.
+func (r *Router) NumKeys() int {
+	n := 0
+	for i := range r.keys {
+		n += r.keys[i].size()
+	}
+	return n
+}
 
 // CheckInvariants verifies internal consistency; exported for tests
 // and harnesses. Call it at quiescence (no Place/Remove in flight);
@@ -553,33 +533,44 @@ func (r *Router) CheckInvariants() error {
 	t := r.snap.Load()
 	counts := make([]int64, len(t.Names))
 	var (
-		total, reps int64
-		cb          [MaxChoices]int32
+		reps int64
+		cb   [MaxChoices]int32
+		err  error
 	)
 	for i := range r.keys {
 		ks := &r.keys[i]
-		ks.mu.RLock()
-		for key, rec := range ks.m {
-			if _, _, err := t.check(key, Hash('k', 0, key), rec, nil, &cb); err != nil {
-				ks.mu.RUnlock()
-				return err
+		ks.lock()
+		total := 0
+		ks.each(func(key string, h0 uint64, rec keyRec) {
+			if err != nil {
+				return
+			}
+			if h0 != Hash('k', 0, key) || h0&(keyShardCount-1) != uint64(i) {
+				err = fmt.Errorf("key %q filed under h0 %#x in table %d", key, h0, i)
+				return
+			}
+			if _, _, err = t.check(key, h0, rec, nil, &cb); err != nil {
+				return
 			}
 			for j := 0; j < int(rec.n); j++ {
 				counts[rec.slots[j]]++
 			}
 			total++
 			reps += int64(rec.n)
+		})
+		if err == nil && total != ks.size() {
+			err = fmt.Errorf("key table %d: %d records, count %d", i, total, ks.size())
 		}
-		ks.mu.RUnlock()
+		ks.unlock()
+		if err != nil {
+			return err
+		}
 	}
 	for i := range counts {
 		if got := t.Loads[i].Total(); got != counts[i] {
 			return fmt.Errorf("server %q: recorded load %d, actual %d",
 				t.Names[i], got, counts[i])
 		}
-	}
-	if total != r.nkeys.Load() {
-		return fmt.Errorf("key count %d != recorded %d", total, r.nkeys.Load())
 	}
 	// The bounded-load bookkeeping must agree with ground truth: the
 	// fleet-wide replica counter with the records, the capacity sum
