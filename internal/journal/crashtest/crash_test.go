@@ -102,6 +102,22 @@ func runScript(t *testing.T) (string, []journal.RecordPos) {
 			t.Fatalf("script never journaled op %d; the lab must cover every record type", op)
 		}
 	}
+	// Key records wait on their stripes while membership records are
+	// framed at once, so the log is not in real-time order: Script
+	// places key-000..key-089 before it adds srv-10, and some of those
+	// placements must be framed after the add for the sweeps to cover
+	// that reordering.
+	added := -1
+	for i := range recs {
+		e := recs[i].Entry
+		if e.Op == journal.OpAddServer && e.Name == "srv-10" {
+			added = i
+		}
+		if added >= 0 && e.Op == journal.OpPlace && e.Name < key(90) {
+			return dir, recs
+		}
+	}
+	t.Fatalf("no placement made before AddServer(srv-10) is framed after it (add at record %d); the sweeps miss the stripe reordering", added)
 	return dir, recs
 }
 

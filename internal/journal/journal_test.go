@@ -357,3 +357,29 @@ func TestNoSyncBuffersUntilClose(t *testing.T) {
 		t.Errorf("append after close: %v, want ErrClosed", err)
 	}
 }
+
+// BenchmarkAppend is the immediate append the router's membership
+// changes use: one OpPlace record encoded, framed and buffered per op
+// (NoSync, compacted off the clock so the WAL stays small).
+func BenchmarkAppend(b *testing.B) {
+	l, err := Create(b.TempDir(), Header{Kind: "geo", Dim: 2, D: 2}, nil, Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	e := Entry{Op: OpPlace, Name: "key-00001234", Rec: Rec{N: 1, Slots: [MaxReplicas]int32{271}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.Append(e); err != nil {
+			b.Fatal(err)
+		}
+		if i&(1<<18-1) == 1<<18-1 {
+			b.StopTimer()
+			if err := l.Compact(nil); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	}
+}

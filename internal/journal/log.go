@@ -27,13 +27,30 @@
 // ErrCorrupt. Never a panic, never a silently wrong state: the fuzz
 // harness in crashtest holds the package to exactly that contract.
 //
-// Appends group-commit: concurrent appenders encode into a shared
-// buffer under the log mutex, one of them becomes the batch leader and
-// writes + fsyncs the whole buffer while later appenders form the next
-// batch, and every Append returns only once its own record is durable.
-// With Options.NoSync the log instead buffers appends and flushes
-// without fsync (for benchmarks and single-threaded labs where
-// durability is asserted by explicit Close).
+// Appends come in two kinds. Append frames its record at once: under
+// the log mutex it takes the next LSN and joins the pending buffer. The
+// router appends membership changes that way, so each one precedes
+// every record staged after it. AppendStriped is the key-record path:
+// the log has 64 append stripes, one per router key shard, each a mutex
+// and a buffer of encoded but unframed entries, so writers of different
+// shards share neither the log mutex nor a buffer line. A stripe's
+// entries get their LSNs and frames, in staging order under the log
+// mutex, once the stripe passes stripeFlush bytes in NoSync mode, at
+// once in sync mode, and on Sync and Close; Compact drops them, because
+// its snapshot covers them. The frame format and LSN contiguity do not
+// depend on the path, so recovery does not know stripes exist. Records
+// of one stripe keep their order; records of different stripes may
+// reach the WAL out of real-time order.
+//
+// In sync mode framed records group-commit: one appender becomes the
+// batch leader and writes + fsyncs the whole pending buffer while later
+// appenders form the next batch, and every Append (and non-async
+// AppendStriped) returns only once its own records are durable. With
+// Options.NoSync the log instead buffers and writes without fsync past
+// a size threshold and on Sync, Compact and Close (for benchmarks and
+// single-threaded labs where durability is asserted by explicit Close);
+// a crash may then lose any set of unwritten records, not only the
+// latest ones.
 package journal
 
 import (
@@ -41,9 +58,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 const (
@@ -55,6 +74,9 @@ const (
 	frameHdrLen  = 8       // uint32 length + uint32 crc
 	maxFrameLen  = 1 << 20 // no single mutation comes near 1 MiB
 	flushPending = 1 << 18 // NoSync mode: flush the buffer past 256 KiB
+	stripeCount  = 64      // append stripes, one per router key shard
+	stripeFlush  = 1 << 14 // NoSync mode: frame a stripe past 16 KiB staged
+	allStripes   = ^uint64(0)
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -94,8 +116,8 @@ type Header struct {
 
 // Options configures a log.
 type Options struct {
-	// NoSync buffers appends and skips fsync (flushing past a size
-	// threshold and on Close/Compact). Appends become cheap and
+	// NoSync buffers appends and skips fsync (writing past a size
+	// threshold and on Sync, Compact and Close). Appends become cheap and
 	// deterministic — for benchmarks and single-process labs — at the
 	// cost of the durability guarantee a crash-consistent deployment
 	// needs. Leave false for group-commit durable appends.
@@ -127,13 +149,19 @@ type Recovered struct {
 }
 
 // Log is an open journal positioned to append. Safe for concurrent
-// Append from any number of goroutines; Compact and Close serialize
-// with appends internally, but the caller owns making the *state* they
-// snapshot consistent (the router stops the world around Compact).
+// Append and AppendStriped from any number of goroutines; Sync, Compact
+// and Close serialize with appends internally, but the caller owns
+// making the *state* Compact snapshots consistent (the router stops the
+// world around it).
+//
+// Lock order: stripe locks in ascending order, then mu.
 type Log struct {
 	dir  string
 	opts Options
 	hdr  Header
+
+	stripes [stripeCount]stripe
+	stopped atomic.Bool // set under mu once closed or err is: stagers read it without mu
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -146,6 +174,14 @@ type Log struct {
 	size    int64  // current WAL file size
 	err     error  // sticky I/O error; the log is dead once set
 	closed  bool
+}
+
+// stripe is one append stripe: entries staged by AppendStriped, each a
+// uint32 length and the entry's encoding, awaiting their frames.
+type stripe struct {
+	mu  sync.Mutex
+	buf []byte
+	_   [32]byte // keep neighbouring stripes off each other's lines
 }
 
 func (l *Log) path(name string) string { return filepath.Join(l.dir, name) }
@@ -163,15 +199,16 @@ func (l *Log) Dir() string { return l.dir }
 // Options returns the options the log was created or opened with.
 func (l *Log) Options() Options { return l.opts }
 
-// LSN returns the last assigned log sequence number.
+// LSN returns the last assigned log sequence number (staged entries
+// get theirs when they are framed).
 func (l *Log) LSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq
 }
 
-// WALSize returns the current WAL file size in bytes (pending
-// unflushed NoSync appends excluded).
+// WALSize returns the current WAL file size in bytes (staged and
+// buffered records excluded until they are written).
 func (l *Log) WALSize() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -371,69 +408,159 @@ func scanFrames(path string, buf []byte, base int64) ([]RecordPos, int64, error)
 	return recs, int64(off), nil
 }
 
-// appendFrame appends the framed record (seq, e) to dst.
-func appendFrame(dst []byte, seq uint64, e *Entry) []byte {
-	hdrAt := len(dst)
+// openFrame appends a frame's header placeholder and the LSN seq to
+// dst; the caller appends the entry encoding and seals the frame.
+func openFrame(dst []byte, seq uint64) []byte {
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = binary.AppendUvarint(dst, seq)
-	dst = appendEntry(dst, e)
-	payload := dst[hdrAt+frameHdrLen:]
-	binary.LittleEndian.PutUint32(dst[hdrAt:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[hdrAt+4:], crc32.Checksum(payload, castagnoli))
+	return binary.AppendUvarint(dst, seq)
+}
+
+// sealFrame fills in the length and CRC of the frame opened at dst[at].
+func sealFrame(dst []byte, at int) []byte {
+	payload := dst[at+frameHdrLen:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[at+4:], crc32.Checksum(payload, castagnoli))
 	return dst
 }
 
-// Append durably records one mutation and returns once the record is
-// on disk (group-committed with concurrent appenders). In NoSync mode
-// it only buffers. The returned error is sticky: once an append fails,
-// the log refuses further writes.
+// Append durably records one mutation, framed at once, and returns
+// once the record is on disk (group-committed with concurrent
+// appenders); in NoSync mode it only buffers. The record precedes every
+// entry staged after Append returns. The returned error is sticky: once
+// a write fails, the log refuses further appends.
 func (l *Log) Append(e Entry) error {
-	return l.AppendBatch([]Entry{e}) // es does not escape: the slice stays on the stack
-}
-
-// AppendBatch durably records a block of mutations with consecutive
-// LSNs and returns once the whole block is on disk — one group-commit
-// fsync covers every record (amortized further by concurrent
-// appenders), never one per entry. Entries are framed under the log
-// mutex, so no other record interleaves within the block, but the
-// block is NOT atomic under a crash: a torn tail can leave a durable
-// prefix of it, exactly as if the entries had been appended one at a
-// time. Callers must therefore journal batches whose per-entry prefix
-// is a valid state — the router's per-key placements are.
-func (l *Log) AppendBatch(es []Entry) error {
-	if len(es) == 0 {
-		return nil
-	}
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.err != nil {
-		err := l.err
+	if err := l.refusedLocked(); err != nil {
 		l.mu.Unlock()
 		return err
 	}
-	for i := range es {
-		l.seq++
-		l.pending = appendFrame(l.pending, l.seq, &es[i])
-	}
-	seq := l.seq
+	l.seq++
+	at := len(l.pending)
+	l.pending = sealFrame(appendEntry(openFrame(l.pending, l.seq), &e), at)
 	if m := l.opts.Metrics; m != nil {
-		m.Appends.Add(seq, int64(len(es)))
+		m.Appends.Inc(l.seq)
 	}
-	return l.commitAppended(seq)
+	return l.commitLocked(l.seq, false)
 }
 
-// commitAppended completes an Append/AppendBatch whose frames are
-// already in the pending buffer with highest LSN seq: NoSync mode just
-// flushes past the threshold; otherwise it runs the group-commit
-// protocol and returns once LSN seq is durable. Called with l.mu held;
-// unlocks before returning.
-func (l *Log) commitAppended(seq uint64) error {
+// AppendStriped records es[i] on append stripe at[i] (modulo the stripe
+// count): it stages the entries under their stripes' locks, taken in
+// ascending order, and leaves the framing to the stripe's threshold in
+// NoSync mode, or frames them before it returns in sync mode. Entries
+// of one stripe are framed in staging order, so a caller keeps one
+// key's records in order by staging them on one stripe. The call is
+// staged or refused as a unit: a closed or failed log refuses it with
+// nothing staged. In sync mode it returns once the entries are durable,
+// unless async, which leaves them to the next group commit: for records
+// whose loss the caller can absorb (the router's rebalance, repair and
+// migration updates, after whose loss recovery finds the key at its
+// previous record).
+func (l *Log) AppendStriped(at []int, es []Entry, async bool) error {
+	var mask uint64
+	for _, s := range at {
+		mask |= 1 << (uint(s) % stripeCount)
+	}
+	l.lockStripes(mask)
+	if l.stopped.Load() {
+		l.unlockStripes(mask)
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.refusedLocked()
+	}
+	for i := range es {
+		st := &l.stripes[uint(at[i])%stripeCount]
+		st.buf = stageEntry(st.buf, &es[i])
+	}
+	full := mask
 	if l.opts.NoSync {
+		full = 0
+		for m := mask; m != 0; m &= m - 1 {
+			if i := bits.TrailingZeros64(m); len(l.stripes[i].buf) >= stripeFlush {
+				full |= 1 << i
+			}
+		}
+		if full == 0 {
+			l.unlockStripes(mask)
+			return nil
+		}
+	}
+	l.mu.Lock()
+	l.frameLocked(full)
+	l.unlockStripes(mask)
+	return l.commitLocked(l.seq, async)
+}
+
+// stageEntry appends e to a stripe buffer as a uint32 length and the
+// entry's encoding.
+func stageEntry(dst []byte, e *Entry) []byte {
+	at := len(dst)
+	dst = appendEntry(append(dst, 0, 0, 0, 0), e)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
+}
+
+// frameLocked frames the staged entries of every stripe in mask into
+// the pending buffer, stripe by stripe in staging order, and empties
+// the stripes. Caller holds those stripes' locks and l.mu.
+func (l *Log) frameLocked(mask uint64) {
+	first := l.seq
+	for m := mask; m != 0; m &= m - 1 {
+		st := &l.stripes[bits.TrailingZeros64(m)]
+		for b := st.buf; len(b) > 0; {
+			n := 4 + int(binary.LittleEndian.Uint32(b))
+			l.seq++
+			at := len(l.pending)
+			l.pending = sealFrame(append(openFrame(l.pending, l.seq), b[4:n]...), at)
+			b = b[n:]
+		}
+		st.buf = st.buf[:0]
+	}
+	if m := l.opts.Metrics; m != nil && l.seq > first {
+		m.Appends.Add(l.seq, int64(l.seq-first))
+	}
+}
+
+// lockStripes locks the stripes in mask in ascending order.
+func (l *Log) lockStripes(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		l.stripes[bits.TrailingZeros64(m)].mu.Lock()
+	}
+}
+
+func (l *Log) unlockStripes(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		l.stripes[bits.TrailingZeros64(m)].mu.Unlock()
+	}
+}
+
+// refusedLocked returns why the log refuses appends (ErrClosed or the
+// sticky write error), nil while it takes them. Caller holds l.mu.
+func (l *Log) refusedLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.err
+}
+
+// fail makes err the log's sticky error and returns it. Caller holds
+// l.mu.
+func (l *Log) fail(err error) error {
+	l.err = err
+	l.stopped.Store(true)
+	return err
+}
+
+// commitLocked completes an append whose frames are in the pending
+// buffer, with highest LSN seq. In NoSync mode, and for an async
+// append, it only writes the buffer past its threshold — unless a
+// group-commit leader owns the file, whose next batch carries the
+// frames anyway. Otherwise it runs the group-commit protocol and
+// returns once LSN seq is durable. Called with l.mu held; unlocks
+// before returning.
+func (l *Log) commitLocked(seq uint64, async bool) error {
+	if l.opts.NoSync || async {
 		var err error
-		if len(l.pending) >= flushPending {
+		if len(l.pending) >= flushPending && !l.leading {
 			err = l.flushLocked()
 		}
 		l.mu.Unlock()
@@ -446,10 +573,14 @@ func (l *Log) commitAppended(seq uint64) error {
 		l.cond.Wait()
 	}
 	if l.closed {
-		// Close raced in while we waited; it flushed our record, but
-		// the durable ack is gone with the file handle.
+		// Close raced in while we waited and wrote our records: they
+		// are durable if its fsync succeeded.
+		err := ErrClosed
+		if l.durable >= seq {
+			err = nil
+		}
 		l.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	if l.err == nil && l.durable < seq {
 		l.leading = true
@@ -469,7 +600,7 @@ func (l *Log) commitAppended(seq uint64) error {
 		l.leading = false
 		l.spare = batch[:0]
 		if werr != nil {
-			l.err = fmt.Errorf("journal: append: %w", werr)
+			l.fail(fmt.Errorf("journal: append: %w", werr))
 		} else {
 			l.durable = high
 			l.size += int64(len(batch))
@@ -484,34 +615,6 @@ func (l *Log) commitAppended(seq uint64) error {
 	return err
 }
 
-// AppendAsync records a mutation without waiting for durability: the
-// record joins the pending batch and reaches disk with the next
-// group-commit, Sync, Compact, or Close. For mutations whose loss is
-// benign — rebalance/repair/migration record updates, where recovery
-// simply re-homes the key from its previous record with nothing lost.
-// Placements and removals must use Append.
-func (l *Log) AppendAsync(e Entry) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.err != nil {
-		return l.err
-	}
-	l.seq++
-	l.pending = appendFrame(l.pending, l.seq, &e)
-	if m := l.opts.Metrics; m != nil {
-		m.Appends.Inc(l.seq)
-	}
-	// Opportunistic backpressure; skipped while a group-commit leader
-	// owns the file, whose next batch will carry these records anyway.
-	if len(l.pending) >= flushPending && !l.leading {
-		return l.flushLocked()
-	}
-	return nil
-}
-
 // flushLocked writes the pending buffer (no fsync). Caller holds l.mu
 // and must have excluded a concurrent batch leader.
 func (l *Log) flushLocked() error {
@@ -524,8 +627,7 @@ func (l *Log) flushLocked() error {
 	n, err := l.f.Write(l.pending)
 	l.size += int64(n)
 	if err != nil {
-		l.err = fmt.Errorf("journal: flush: %w", err)
-		return l.err
+		return l.fail(fmt.Errorf("journal: flush: %w", err))
 	}
 	l.pending = l.pending[:0]
 	return nil
@@ -539,20 +641,24 @@ func (l *Log) waitIdleLocked() {
 	}
 }
 
-// Sync flushes buffered appends and fsyncs the WAL.
+// Sync frames every staged entry, writes the buffered records and
+// fsyncs the WAL.
 func (l *Log) Sync() error {
+	l.lockStripes(allStripes)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
+		l.unlockStripes(allStripes)
 		return ErrClosed
 	}
+	l.frameLocked(allStripes)
+	l.unlockStripes(allStripes)
 	l.waitIdleLocked()
 	if err := l.flushLocked(); err != nil {
 		return err
 	}
 	if err := l.f.Sync(); err != nil {
-		l.err = fmt.Errorf("journal: sync: %w", err)
-		return l.err
+		return l.fail(fmt.Errorf("journal: sync: %w", err))
 	}
 	l.durable = l.seq
 	if m := l.opts.Metrics; m != nil {
@@ -568,31 +674,33 @@ func (l *Log) Sync() error {
 // Crash-safe: the snapshot is replaced atomically, and a crash before
 // the WAL reset only leaves records the next Open skips by LSN.
 func (l *Log) Compact(state []Entry) error {
+	l.lockStripes(allStripes)
+	defer l.unlockStripes(allStripes)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.err != nil {
-		return l.err
+	if err := l.refusedLocked(); err != nil {
+		return err
 	}
 	l.waitIdleLocked()
-	// Pending records are at or below l.seq, hence covered by the
-	// snapshot about to be written: drop them.
-	l.pending = l.pending[:0]
 	if err := l.writeSnapshot(l.seq, state); err != nil {
 		return err
 	}
+	// The snapshot covers every buffered record (LSN at most l.seq) and
+	// every staged one: drop them.
+	l.pending = l.pending[:0]
+	for i := range l.stripes {
+		l.stripes[i].buf = l.stripes[i].buf[:0]
+	}
 	dropped := l.size - int64(len(walMagic))
-	if err := l.f.Truncate(int64(len(walMagic))); err == nil {
-		if _, err2 := l.f.Seek(int64(len(walMagic)), 0); err2 != nil {
-			err = err2
-		} else {
-			err = l.f.Sync()
-		}
-	} else {
-		l.err = fmt.Errorf("journal: compact: %w", err)
-		return l.err
+	err := l.f.Truncate(int64(len(walMagic)))
+	if err == nil {
+		_, err = l.f.Seek(int64(len(walMagic)), 0)
+	}
+	if err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		return l.fail(fmt.Errorf("journal: compact: %w", err))
 	}
 	l.size = int64(len(walMagic))
 	l.durable = l.seq
@@ -602,8 +710,12 @@ func (l *Log) Compact(state []Entry) error {
 	return nil
 }
 
-// Close flushes buffered appends, fsyncs, and closes the WAL.
+// Close frames every staged entry, writes the buffered records, fsyncs,
+// and closes the WAL. An AppendStriped racing Close either is staged
+// before it, and written, or refused with nothing staged.
 func (l *Log) Close() error {
+	l.lockStripes(allStripes)
+	defer l.unlockStripes(allStripes)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -611,9 +723,14 @@ func (l *Log) Close() error {
 	}
 	l.waitIdleLocked()
 	l.closed = true
+	l.stopped.Store(true)
+	l.frameLocked(allStripes)
 	err := l.flushLocked()
 	if serr := l.f.Sync(); err == nil && serr != nil {
 		err = fmt.Errorf("journal: close: %w", serr)
+	}
+	if err == nil {
+		l.durable = l.seq
 	}
 	if cerr := l.f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("journal: close: %w", cerr)

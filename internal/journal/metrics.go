@@ -8,7 +8,7 @@ import "geobalance/internal/metrics"
 // Metrics is the journal's instrument set. Attach one via
 // Options.Metrics when creating or opening a log.
 type Metrics struct {
-	Appends        *metrics.Counter // records appended to the WAL
+	Appends        *metrics.Counter // records framed into the WAL (staged ones count once framed)
 	Fsyncs         *metrics.Counter // WAL fsyncs (group commit batches, not records)
 	Recoveries     *metrics.Counter // journals recovered by Open
 	TruncatedBytes *metrics.Counter // WAL bytes discarded: torn tails + compacted prefixes

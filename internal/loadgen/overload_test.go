@@ -157,19 +157,27 @@ func slashedLoads(t *testing.T, res *Result) (map[string]int64, int64) {
 // it they freeze near their pre-cascade load while the refused ops
 // surface as visible back-pressure (rejections, retries, shed).
 func TestCascadeBoundedVsUnbounded(t *testing.T) {
+	// Both runs do a fixed amount of work rather than run for a fixed
+	// time: the snowball needs placements after the cascade, and a time
+	// window gets ~15× fewer under the race detector, so the budget is
+	// cut there only to keep the test within seconds.
+	ops := int64(600000)
+	if raceEnabled {
+		ops = 60000
+	}
 	// Choices > KeyReplicas so admission needs only 2-of-3 candidates
 	// under the threshold; with d == R a single saturated candidate
 	// vetoes the whole placement and the run over-sheds.
 	base := Config{
 		Space: "torus", Dim: 2, Servers: 24, Choices: 3, KeyReplicas: 2,
-		Workers: 4, Duration: 400 * time.Millisecond, Keys: 64,
+		Workers: 4, Ops: ops, Keys: 64,
 		LookupFrac: 0.3, Dist: "zipf", Seed: 21,
 		ServiceRate: 20000,
 		Failures: FailureScript{
 			// Early slash: load frozen on the browned-out servers before
 			// the event is noise in the comparison (admission cannot
 			// shrink it), so the cascade fires soon after the preload.
-			{After: 30 * time.Millisecond, Kind: FailCascade, Frac: 0.3},
+			{After: time.Millisecond, Kind: FailCascade, Frac: 0.3},
 		},
 	}
 
@@ -185,6 +193,9 @@ func TestCascadeBoundedVsUnbounded(t *testing.T) {
 	}
 	if protected.Errors != 0 {
 		t.Fatalf("%d harness errors in the protected run", protected.Errors)
+	}
+	if len(protected.Failures) != 1 {
+		t.Fatal("the cascade never fired in the protected run")
 	}
 	if protected.LostKeys != 0 {
 		t.Fatalf("%d keys lost in the protected run", protected.LostKeys)
@@ -211,6 +222,9 @@ func TestCascadeBoundedVsUnbounded(t *testing.T) {
 	}
 	if open.Rejections != 0 || open.Shed != 0 {
 		t.Fatalf("unbounded run rejected %d / shed %d ops", open.Rejections, open.Shed)
+	}
+	if len(open.Failures) != 1 {
+		t.Fatal("the cascade never fired in the unbounded run")
 	}
 
 	// Per-server comparison on the browned-out zone. Admission freezes a

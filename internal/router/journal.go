@@ -4,25 +4,30 @@
 // atomic pointer load and a predictable branch per mutation, nothing
 // else, and never an allocation (guarded by TestJournalOffPlaceAllocs).
 //
-// With a journal attached, every mutation appends its record BEFORE it
-// becomes visible: membership changes append inside the writer mutex
-// just before the snapshot publishes, and key-record changes append
-// under the key-shard lock, which is held until the append returns.
-// The journal therefore totally orders the mutations it sees per key
-// and orders every membership change before any placement made against
-// it — exactly the ordering replay needs. Place and Remove (scalar and
-// batch) are write-ahead in the strict sense (a failed append rolls the
-// call back and fails it); Rebalance, Repair, and migration append
-// without waiting for the fsync, because losing a tail update record is
-// benign: the recovered router holds the key's previous record and the
-// standard post-recovery Repair/Rebalance pass re-homes it, with no key
-// lost.
+// With a journal attached, every mutation logs its record BEFORE it
+// becomes visible. Membership changes append at once (journal Append),
+// inside the writer mutex, just before the snapshot publishes.
+// Key-record changes are staged on the key shard's journal stripe
+// (AppendStriped) under the key-shard lock, which is held until the
+// stage returns; a stripe's records are framed later, in staging
+// order. So the journal logs each key's records in order and every
+// membership change before any placement made against it, which is
+// the ordering replay needs (pinned by TestJournalMembershipOrdering);
+// records of different keys may be framed out of real-time order.
+// Place and Remove (scalar and batch) are write-ahead in the strict
+// sense (a refused stage rolls the call back and fails it); Rebalance,
+// Repair, and migration stage without waiting for the fsync, because
+// losing an update record is benign: the recovered router holds the
+// key's previous record and the standard post-recovery
+// Repair/Rebalance pass re-homes it, with no key lost. A NoSync-journaled
+// Place/Remove cycle allocates nothing either (TestJournalOnPlaceAllocs).
 //
 // Replay installs recorded outcomes verbatim rather than re-running
 // the d-choice rule, whose outcome depends on load counters and racing
-// traffic. Slot indices are stable under total-order replay — slots
-// are append-only and never reused for new names — so a recorded slot
-// means the same server at replay time as it did at append time.
+// traffic. Slot indices are stable under replay — slots are
+// append-only and never reused for new names, and a slot's add is
+// logged before any record naming it — so a recorded slot means the
+// same server at replay time as it did at append time.
 package router
 
 import (

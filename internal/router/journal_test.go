@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"geobalance/internal/geom"
@@ -205,9 +206,12 @@ func TestGeoJournalCompaction(t *testing.T) {
 }
 
 // TestJournalMembershipOrdering pins the write-ahead ordering contract:
-// a membership change appends before any placement routed against the
-// new topology, so replay never sees a key pointing at a slot the log
-// hasn't introduced yet.
+// a membership change appends at once, before any placement routed
+// against the new topology, so replay never sees a key pointing at a
+// slot the log hasn't introduced yet. Placements are staged on their
+// key shards' journal stripes instead, so the ones made before an
+// AddServer or RemoveServer are framed after it; recovery must still
+// rebuild the same state, each key's records in order.
 func TestJournalMembershipOrdering(t *testing.T) {
 	g := newTestGeo(t, 4, 2, 2, 13)
 	dir := t.TempDir()
@@ -215,14 +219,26 @@ func TestJournalMembershipOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys := make(map[string]bool)
+	place := func(prefix string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("%s%d", prefix, i)
+			if _, err := g.Place(k); err != nil {
+				t.Fatal(err)
+			}
+			keys[k] = true
+		}
+	}
+	place("early", 30)
 	if err := g.AddServer("late", geom.Vec{0.9, 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
-		if _, err := g.Place(fmt.Sprintf("k%d", i)); err != nil {
-			t.Fatal(err)
-		}
+	place("k", 40)
+	if err := g.RemoveServer("dc-000"); err != nil {
+		t.Fatal(err)
 	}
+	g.Repair() // re-homes the keys dc-000 held: their updates follow their placements
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -230,13 +246,56 @@ func TestJournalMembershipOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 || recs[0].Entry.Op != journal.OpAddServer || recs[0].Entry.Name != "late" {
-		t.Fatalf("first WAL record = %+v, want the AddServer(late) membership append", recs[0].Entry)
+	if len(recs) < 2 || recs[0].Entry.Op != journal.OpAddServer || recs[0].Entry.Name != "late" ||
+		recs[1].Entry.Op != journal.OpRemoveServer || recs[1].Entry.Name != "dc-000" {
+		t.Fatalf("first WAL records = %+v, want the AddServer(late) and RemoveServer(dc-000) membership appends", recs[:min(2, len(recs))])
 	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Entry.Op == journal.OpAddServer {
+	early := 0
+	for i := 2; i < len(recs); i++ {
+		switch e := recs[i].Entry; {
+		case e.Op == journal.OpAddServer || e.Op == journal.OpRemoveServer:
 			t.Fatalf("unexpected extra membership record at %d", i)
+		case e.Op == journal.OpPlace && strings.HasPrefix(e.Name, "early"):
+			early++
 		}
+	}
+	if early != 30 {
+		t.Fatalf("%d of the 30 early placements framed after the membership records that followed them", early)
+	}
+	g2, _, err := RecoverGeo(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Journal().Close()
+	assertGeoEqual(t, g, g2, keys)
+}
+
+// TestJournalOnPlaceAllocs guards the durable write path: with a
+// NoSync journal attached, a Place or Remove stages its record in its
+// stripe's buffer, which the log frames into its own buffer, both
+// reused, so the steady-state cycle stays allocation-free.
+func TestJournalOnPlaceAllocs(t *testing.T) {
+	g := newTestGeo(t, 16, 2, 3, 17)
+	lg, err := g.StartJournal(t.TempDir(), journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	cycle := func() {
+		if _, err := g.Place("cycle"); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Remove("cycle"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Grow both buffers to their working size first: the stripe frames
+	// past 16 KiB and the log writes past 256 KiB.
+	for i := 0; i < 20000; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(2000, cycle); got != 0 {
+		t.Errorf("journaled Place/Remove cycle allocates %v per run; want 0", got)
 	}
 }
 
@@ -275,5 +334,43 @@ func TestRecoverGeoRejectsRingJournal(t *testing.T) {
 	}
 	if _, _, err := RecoverGeo(dir, journal.Options{}); err == nil {
 		t.Fatal("expected kind mismatch error")
+	}
+}
+
+// BenchmarkGeoPlaceRemoveJournaled is BenchmarkGeoPlaceRemove with a
+// NoSync journal attached: the cost of staging two WAL records per
+// cycle on a key shard's stripe. The log is compacted off the clock so
+// the WAL stays small at large b.N.
+func BenchmarkGeoPlaceRemoveJournaled(b *testing.B) {
+	g := newTestGeo(b, 1024, 2, 2, 12)
+	keys := make([]string, 1<<12)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("bench-%d", i)
+		if _, err := g.Place(keys[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	lg, err := g.StartJournal(b.TempDir(), journal.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lg.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := keys[i&(len(keys)-1)]
+		if err := g.Remove(key); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := g.Place(key); err != nil {
+			b.Fatal(err)
+		}
+		if i&(1<<17-1) == 1<<17-1 {
+			b.StopTimer()
+			if err := g.CompactJournal(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
 	}
 }

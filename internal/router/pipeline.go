@@ -8,7 +8,8 @@
 //     stable top-R by relative load, in a single scan;
 //   - commit: the per-key place and remove steps under the held
 //     key-shard lock, then, with a journal attached, one write-ahead
-//     append for the call (every step rolled back if it fails), and the
+//     stage of the call's records on their shards' journal stripes
+//     (every step rolled back if the journal refuses it), and the
 //     metrics tally after the locks go.
 //
 // Scalar Place/Remove run the steps once, under one shard lock.
@@ -16,13 +17,14 @@
 // order, under one lock round that takes every involved shard in
 // ascending order, so a batch traces exactly like the scalar loop (later
 // keys see earlier keys' load) with one bulk resolve and one journal
-// group commit. Every multi-shard path (the batches and the
-// stop-the-world journal paths) locks shards in ascending order and
-// every other path holds at most one, so there is no lock-order cycle.
-// Holding the locks across the append is the write-ahead rule: no
-// change becomes visible before its record is durable. The lock-free
-// readers keep it too, since a held shard lock keeps the shard's
-// sequence odd (keytable.go).
+// stage. Every multi-shard path (the batches and the stop-the-world
+// journal paths) locks shards in ascending order and every other path
+// holds at most one, so there is no lock-order cycle; the journal
+// locks a call's stripes in ascending order too, after the shards.
+// Holding the locks across the stage is the write-ahead rule: no
+// change becomes visible before its record is logged (and, in sync
+// mode, durable). The lock-free readers keep it too, since a held
+// shard lock keeps the shard's sequence odd (keytable.go).
 package router
 
 import (
@@ -147,6 +149,7 @@ type commit struct {
 	lg      *journal.Log
 	placing bool
 	ents    []journal.Entry // a batch's journal entry buffer
+	at      []int           // each entry's key shard, its journal stripe
 	out     []BatchResult   // a batch's results, failed by a rollback
 
 	// The tally, which report publishes after the shard locks.
@@ -189,20 +192,23 @@ func (c *commit) remove(ks *keyTable, key string, h0 uint64) (keyRec, error) {
 	return rec, nil
 }
 
-// journal is the write-ahead step: it appends the steps as one group
-// commit. If the append fails, every step is rolled back, its batch
-// result is failed, and the error is returned. Called with a journal
-// attached and the shard locks still held.
+// journal is the write-ahead step: it stages the steps' records on the
+// journal stripes of their key shards, as one unit. If the journal
+// refuses them, every step is rolled back, its batch result is failed,
+// and the error is returned. Called with a journal attached and the
+// shard locks still held.
 func (c *commit) journal(steps []undo) error {
 	var err error
 	if len(steps) == 1 {
-		err = c.lg.Append(c.entry(steps[0]))
+		u := steps[0]
+		err = c.lg.AppendStriped([]int{shardOf(u.h0)}, []journal.Entry{c.entry(u)}, false)
 	} else {
-		c.ents = c.ents[:0]
+		c.ents, c.at = c.ents[:0], c.at[:0]
 		for _, u := range steps {
 			c.ents = append(c.ents, c.entry(u))
+			c.at = append(c.at, shardOf(u.h0))
 		}
-		err = c.lg.AppendBatch(c.ents)
+		err = c.lg.AppendStriped(c.at, c.ents, false)
 	}
 	if err == nil {
 		return nil
@@ -390,6 +396,7 @@ type batchScratch struct {
 	hs    []uint64        // q*D candidate hashes, key-major
 	cand  []int32         // q*D resolved candidate slots
 	ents  []journal.Entry // write-ahead records for the batch
+	at    []int           // the records' journal stripes
 	steps []undo          // journaled steps, for rollback
 	res   ResolveScratch
 }
@@ -421,13 +428,13 @@ func (r *Router) batchStart(op string, keys []string, out []BatchResult) *batchS
 	return sc
 }
 
-// batchEnd pools the scratch. Entries and undo records reference
-// caller key strings; they are dropped so the pool does not pin an old
-// batch's keys.
-func (r *Router) batchEnd(sc *batchScratch, ents []journal.Entry, steps []undo) {
-	clear(ents)
+// batchEnd pools the scratch with the buffers the commit grew. Entries
+// and undo records reference caller key strings; they are dropped so
+// the pool does not pin an old batch's keys.
+func (r *Router) batchEnd(sc *batchScratch, c *commit, steps []undo) {
+	clear(c.ents)
 	clear(steps)
-	sc.ents, sc.steps = ents[:0], steps[:0]
+	sc.ents, sc.at, sc.steps = c.ents[:0], c.at[:0], steps[:0]
 	r.bpool.Put(sc)
 }
 
@@ -486,13 +493,13 @@ func (r *Router) resolveBlock(sc *batchScratch, t *Snapshot, keys []string) {
 
 // PlaceBatch places a block of keys with one bulk candidate resolve,
 // one lock round over the involved key shards, and one write-ahead
-// group commit. out[i] reports key i's outcome; len(out) must equal
+// journal stage. out[i] reports key i's outcome; len(out) must equal
 // len(keys). Each key behaves exactly as a scalar Place issued in
 // input order would: sticky-duplicate and bounded-load rejections land
 // in out[i].Err (rejections wrap ErrOverloaded) without failing the
 // rest of the batch, replication and draining rules match, and later
-// keys in the batch observe earlier keys' load. A journal append
-// failure rolls the whole batch back and fails every admitted key.
+// keys in the batch observe earlier keys' load. A journal refusal
+// rolls the whole batch back and fails every admitted key.
 func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 	sc := r.batchStart("PlaceBatch", keys, out)
 	if sc == nil {
@@ -513,7 +520,7 @@ func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 		}
 	}
 	c := r.begin(t, true)
-	c.ents, c.out = sc.ents, out
+	c.ents, c.at, c.out = sc.ents, sc.at, out
 	steps := sc.steps[:0]
 	for i, key := range keys {
 		if t.Live == 0 {
@@ -532,7 +539,7 @@ func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 	}
 	r.unlockShards(mask)
 	c.report(sc.h0s[0])
-	r.batchEnd(sc, c.ents, steps)
+	r.batchEnd(sc, &c, steps)
 }
 
 // LocateBatch looks up a block of placed keys against one snapshot
@@ -563,10 +570,10 @@ func (r *Router) LocateBatch(keys []string, out []BatchResult) {
 }
 
 // RemoveBatch deletes a block of placed keys with one lock round over
-// the involved key shards and one write-ahead group commit. out[i]
+// the involved key shards and one write-ahead journal stage. out[i]
 // reports key i's outcome (Server is the removed primary); unplaced
 // keys get a not-placed error without failing the rest. A journal
-// append failure rolls the whole batch back.
+// refusal rolls the whole batch back.
 func (r *Router) RemoveBatch(keys []string, out []BatchResult) {
 	sc := r.batchStart("RemoveBatch", keys, out)
 	if sc == nil {
@@ -575,7 +582,7 @@ func (r *Router) RemoveBatch(keys []string, out []BatchResult) {
 	mask := shardMask(sc.h0s)
 	r.lockShards(mask)
 	c := r.begin(r.snap.Load(), false)
-	c.ents, c.out = sc.ents, out
+	c.ents, c.at, c.out = sc.ents, sc.at, out
 	steps := sc.steps[:0]
 	for i, key := range keys {
 		h0 := sc.h0s[i]
@@ -590,5 +597,5 @@ func (r *Router) RemoveBatch(keys []string, out []BatchResult) {
 	}
 	r.unlockShards(mask)
 	c.report(sc.h0s[0])
-	r.batchEnd(sc, c.ents, steps)
+	r.batchEnd(sc, &c, steps)
 }

@@ -140,12 +140,14 @@ func (r *Router) reconcile(t *Snapshot, loads []int64, fix func(k *stray) bool) 
 
 // swap is the record-swap step of the cold paths: replace the key's
 // record old with rec, moving the load charge. The caller holds the
-// key's shard lock. The journal append is asynchronous — a lost tail
-// update leaves the old record, which the next pass re-homes — and a
-// failed append leaves the record as journaled and reports false.
+// key's shard lock. The update is staged on the key's journal stripe
+// without waiting for the fsync — a lost update leaves the old record,
+// which the next pass re-homes — and a refused one leaves the record as
+// journaled and reports false.
 func (r *Router) swap(t *Snapshot, ks *keyTable, key string, h0 uint64, old, rec keyRec) bool {
 	if lg := r.jl.Load(); lg != nil {
-		if err := lg.AppendAsync(journal.Entry{Op: journal.OpUpdateRec, Name: key, Rec: recToJournal(rec)}); err != nil {
+		e := journal.Entry{Op: journal.OpUpdateRec, Name: key, Rec: recToJournal(rec)}
+		if err := lg.AppendStriped([]int{shardOf(h0)}, []journal.Entry{e}, true); err != nil {
 			return false
 		}
 	}

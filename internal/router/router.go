@@ -461,11 +461,13 @@ func (r *Router) Servers() []string {
 	return out
 }
 
+// shardOf returns the index of a key's shard, from its first-choice
+// hash; the shard's index is also its journal stripe.
+func shardOf(h0 uint64) int { return int(h0 & (keyShardCount - 1)) }
+
 // keyShardFor picks the record table for a key from its first-choice
 // hash.
-func (r *Router) keyShardFor(h0 uint64) *keyTable {
-	return &r.keys[h0&(keyShardCount-1)]
-}
+func (r *Router) keyShardFor(h0 uint64) *keyTable { return &r.keys[shardOf(h0)] }
 
 // Loads returns a map of live server name to current key count.
 func (r *Router) Loads() map[string]int64 {
