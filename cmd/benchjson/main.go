@@ -608,8 +608,9 @@ func collect() ([]result, error) {
 			checkBatch(b, bout)
 		}
 	}))
-	// The dim-3 batch cycle rides the 3x3x3-brick overlapped torus
-	// kernel end to end through the router.
+	// The dim-3 batch cycle rides the torus kernel that stages each
+	// 3x3x3 brick as nine CSR z-column runs, end to end through the
+	// router.
 	geo3, g3keys, err := newBenchGeo(1024, 3, 2)
 	if err != nil {
 		return nil, err

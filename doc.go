@@ -58,12 +58,13 @@
 //     blocked placement (mirrored by ring.NearestBatch for interface
 //     symmetry): a block's queries are counting-sorted into grid-cell
 //     order and answered by staged, register-resident scan loops over
-//     an overlapped 3-row site index, in which a query's whole fused
-//     3x3 home block is one contiguous slot run. Uncertified queries
-//     settle through a flat 5x5 scan and, in the vanishing residue,
-//     the shared shell walk. Results are identical to per-query
-//     Nearest; with caller-owned scratch (NearestBatchInto) batches
-//     may run concurrently over one unchanging Space.
+//     the cell-CSR index the scalar kernels read, a query's fused 3x3
+//     home block staged as three row runs (nine z-column runs for the
+//     3x3x3 brick in dim 3). Uncertified queries settle through a flat
+//     5x5 scan and, in the vanishing residue, the shared shell walk.
+//     Results are identical to per-query Nearest; with caller-owned
+//     scratch (NearestBatchInto) batches may run concurrently over one
+//     unchanging Space.
 //   - internal/core.PlaceBatch is the bulk API: it hoists the tie-break
 //     switch and stratified branch out of the per-ball loop,
 //     devirtualizes the space (structural jump-index match, concrete
@@ -116,7 +117,7 @@
 //     placement respects geography while d-choices level the load.
 //     Membership changes build the new torus index incrementally from
 //     the prior snapshot (torus.WithSite/WithoutSite splice the
-//     cell-CSR and overlapped-row indexes instead of re-sorting) —
+//     cell-CSR index instead of re-sorting) —
 //     see examples/geo-router.
 //
 // # Replication, failover, and live migration

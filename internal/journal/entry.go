@@ -232,6 +232,51 @@ func (d *decoder) str() string {
 	return s
 }
 
+// checkEntry returns an error wrapping ErrInvalidEntry when
+// decodeEntry would reject e's encoding: a name or key past
+// maxStringLen bytes, more than maxCoords coordinates, a replica count,
+// slot, choice index or replication factor outside its bound, or an
+// unknown op. Append, AppendStriped and the snapshot writer call it
+// before they stage or write anything, so the journal never holds a
+// record it cannot read back.
+func checkEntry(e *Entry) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: entry %v: %s", ErrInvalidEntry, e.Op, fmt.Sprintf(format, args...))
+	}
+	switch e.Op {
+	case OpSetReplication:
+		if e.Count < 1 || e.Count > MaxReplicas {
+			return bad("replication factor %d outside [1, %d]", e.Count, MaxReplicas)
+		}
+		return nil
+	case OpSetBoundedLoad:
+		return nil
+	case OpAddServer:
+		if len(e.Coords) > maxCoords {
+			return bad("coordinate count %d exceeds %d", len(e.Coords), maxCoords)
+		}
+	case OpPlace, OpUpdateRec:
+		if e.Rec.N < 1 || e.Rec.N > MaxReplicas {
+			return bad("replica count %d outside [1, %d]", e.Rec.N, MaxReplicas)
+		}
+		for i := 0; i < e.Rec.N; i++ {
+			if e.Rec.Slots[i] < 0 {
+				return bad("slot %d is negative", e.Rec.Slots[i])
+			}
+			if e.Rec.Salts[i] < 0 {
+				return bad("choice index %d is negative", e.Rec.Salts[i])
+			}
+		}
+	case OpRemoveServer, OpRemoveKey, OpSetCapacity, OpSetDraining:
+	default:
+		return bad("unknown op %d", uint8(e.Op))
+	}
+	if len(e.Name) > maxStringLen {
+		return bad("string length %d exceeds %d", len(e.Name), maxStringLen)
+	}
+	return nil
+}
+
 // decodeEntry decodes one entry payload, validating every field bound
 // and requiring the payload to be consumed exactly.
 func decodeEntry(b []byte) (Entry, error) {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"geobalance/internal/metrics"
@@ -52,6 +54,150 @@ func TestEntryDecodeRejectsTruncationsAndTrailing(t *testing.T) {
 	}
 	if _, err := decodeEntry([]byte{0xff}); err == nil {
 		t.Error("decode accepted an unknown op")
+	}
+}
+
+// invalidEntries holds one entry past each bound decodeEntry enforces.
+func invalidEntries() map[string]Entry {
+	long := strings.Repeat("k", maxStringLen+1)
+	return map[string]Entry{
+		"long key":          {Op: OpPlace, Name: long, Rec: Rec{N: 1}},
+		"long server name":  {Op: OpAddServer, Name: long, Value: 1},
+		"too many coords":   {Op: OpAddServer, Name: "s", Value: 1, Coords: make([]float64, maxCoords+1)},
+		"no replicas":       {Op: OpPlace, Name: "k"},
+		"too many replicas": {Op: OpUpdateRec, Name: "k", Rec: Rec{N: MaxReplicas + 1}},
+		"negative slot":     {Op: OpPlace, Name: "k", Rec: Rec{N: 1, Slots: [MaxReplicas]int32{-1}}},
+		"negative choice":   {Op: OpPlace, Name: "k", Rec: Rec{N: 1, Salts: [MaxReplicas]int8{-1}}},
+		"replication 0":     {Op: OpSetReplication},
+		"replication 5":     {Op: OpSetReplication, Count: MaxReplicas + 1},
+		"unknown op":        {Op: opMax + 1, Name: "k"},
+	}
+}
+
+// TestCheckEntryMatchesDecoder pins checkEntry to decodeEntry's bounds:
+// it refuses every entry past a bound (each of which the decoder
+// rejects, where the entry encodes at all) and accepts the sample
+// entries and a name of exactly maxStringLen bytes, which read back.
+func TestCheckEntryMatchesDecoder(t *testing.T) {
+	for name, e := range invalidEntries() {
+		if err := checkEntry(&e); !errors.Is(err, ErrInvalidEntry) {
+			t.Errorf("%s: checkEntry = %v, want ErrInvalidEntry", name, err)
+		}
+		if e.Rec.N > MaxReplicas {
+			continue // appendEntry would index past Rec's arrays
+		}
+		if _, err := decodeEntry(appendEntry(nil, &e)); err == nil {
+			t.Errorf("%s: decodeEntry accepted an entry checkEntry refuses", name)
+		}
+	}
+	edge := Entry{Op: OpPlace, Name: strings.Repeat("k", maxStringLen), Rec: Rec{N: 1}}
+	for _, e := range append(sampleEntries(), edge) {
+		if err := checkEntry(&e); err != nil {
+			t.Errorf("%v: checkEntry refused a readable entry: %v", e.Op, err)
+		}
+		if _, err := decodeEntry(appendEntry(nil, &e)); err != nil {
+			t.Errorf("%v: decode: %v", e.Op, err)
+		}
+	}
+}
+
+// TestAppendRefusesUnreadableEntry: Append and AppendStriped refuse an
+// entry the log could not read back — a 65537-byte key among them —
+// with ErrInvalidEntry and nothing staged, the refusal is not sticky,
+// and the log reopens cleanly with exactly the accepted records.
+func TestAppendRefusesUnreadableEntry(t *testing.T) {
+	for _, noSync := range []bool{false, true} {
+		dir := t.TempDir()
+		l, err := Create(dir, Header{Kind: "geo", Dim: 2, D: 2}, nil, Options{NoSync: noSync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		long := Entry{Op: OpPlace, Name: strings.Repeat("k", maxStringLen+1), Rec: Rec{N: 1}}
+		var want []Entry
+		ok := func(i int) Entry {
+			return Entry{Op: OpPlace, Name: "key-" + string(rune('a'+i)), Rec: Rec{N: 1, Slots: [MaxReplicas]int32{int32(i)}}}
+		}
+		if err := l.Append(long); !errors.Is(err, ErrInvalidEntry) {
+			t.Fatalf("Append of a %d-byte key = %v, want ErrInvalidEntry", len(long.Name), err)
+		}
+		if err := l.AppendStriped([]int{3, 5}, []Entry{ok(0), long}, false); !errors.Is(err, ErrInvalidEntry) {
+			t.Fatalf("AppendStriped with a %d-byte key = %v, want ErrInvalidEntry", len(long.Name), err)
+		}
+		for name, e := range invalidEntries() {
+			if err := l.Append(e); !errors.Is(err, ErrInvalidEntry) {
+				t.Fatalf("Append(%s) = %v, want ErrInvalidEntry", name, err)
+			}
+			if err := l.AppendStriped([]int{1}, []Entry{e}, false); !errors.Is(err, ErrInvalidEntry) {
+				t.Fatalf("AppendStriped(%s) = %v, want ErrInvalidEntry", name, err)
+			}
+		}
+		if got := l.LSN(); got != 0 {
+			t.Fatalf("refused appends took LSNs: LSN = %d", got)
+		}
+		// Not sticky: both paths keep appending.
+		for i := 0; i < 4; i++ {
+			e := ok(i)
+			if i%2 == 0 {
+				err = l.Append(e)
+			} else {
+				err = l.AppendStriped([]int{i}, []Entry{e}, false)
+			}
+			if err != nil {
+				t.Fatalf("append after a refusal: %v", err)
+			}
+			want = append(want, e)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, rec, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("reopen after refused appends: %v", err)
+		}
+		l2.Close()
+		// NoSync frames staged entries at Close, after the immediate ones.
+		sort.Slice(rec.Entries, func(i, j int) bool { return rec.Entries[i].Name < rec.Entries[j].Name })
+		if rec.TruncatedBytes != 0 || !reflect.DeepEqual(rec.Entries, want) {
+			t.Fatalf("noSync=%v: recovered %d entries (%d bytes truncated), want %v",
+				noSync, len(rec.Entries), rec.TruncatedBytes, want)
+		}
+	}
+}
+
+// TestSnapshotRefusesUnreadableEntry: Create and Compact refuse a state
+// holding an entry the log could not read back, before any file is
+// replaced, so the journal in the directory stays readable.
+func TestSnapshotRefusesUnreadableEntry(t *testing.T) {
+	dir := t.TempDir()
+	bad := append(sampleEntries()[:2], Entry{Op: OpPlace, Name: strings.Repeat("k", maxStringLen+1), Rec: Rec{N: 1}})
+	if _, err := Create(dir, Header{Kind: "geo", Dim: 2, D: 2}, bad, Options{}); !errors.Is(err, ErrInvalidEntry) {
+		t.Fatalf("Create with an unreadable state entry = %v, want ErrInvalidEntry", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapName)); !os.IsNotExist(err) {
+		t.Fatalf("refused Create left a snapshot (stat: %v)", err)
+	}
+	state := sampleEntries()[:2]
+	l, err := Create(dir, Header{Kind: "geo", Dim: 2, D: 2}, state, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sampleEntries()[2]
+	if err := l.Append(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(bad); !errors.Is(err, ErrInvalidEntry) {
+		t.Fatalf("Compact with an unreadable state entry = %v, want ErrInvalidEntry", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after a refused Compact: %v", err)
+	}
+	l2.Close()
+	if want := append(state, e); !reflect.DeepEqual(rec.Entries, want) {
+		t.Fatalf("recovered %v, want %v", rec.Entries, want)
 	}
 }
 

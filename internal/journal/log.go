@@ -89,6 +89,12 @@ var ErrCorrupt = errors.New("journal corrupt")
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("journal closed")
 
+// ErrInvalidEntry is wrapped by the error an append or a snapshot
+// returns for an entry the log could not read back (see checkEntry).
+// The call is refused with nothing staged or written, and the log keeps
+// taking appends: the error is not sticky.
+var ErrInvalidEntry = errors.New("invalid journal entry")
+
 // CorruptError carries the location and cause of a corruption finding.
 type CorruptError struct {
 	Path   string // offending file ("" when the damage is logical)
@@ -426,9 +432,13 @@ func sealFrame(dst []byte, at int) []byte {
 // Append durably records one mutation, framed at once, and returns
 // once the record is on disk (group-committed with concurrent
 // appenders); in NoSync mode it only buffers. The record precedes every
-// entry staged after Append returns. The returned error is sticky: once
-// a write fails, the log refuses further appends.
+// entry staged after Append returns. A write error is sticky: once a
+// write fails, the log refuses further appends. An entry the log could
+// not read back is refused with ErrInvalidEntry, which is not.
 func (l *Log) Append(e Entry) error {
+	if err := checkEntry(&e); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	if err := l.refusedLocked(); err != nil {
 		l.mu.Unlock()
@@ -449,13 +459,19 @@ func (l *Log) Append(e Entry) error {
 // NoSync mode, or frames them before it returns in sync mode. Entries
 // of one stripe are framed in staging order, so a caller keeps one
 // key's records in order by staging them on one stripe. The call is
-// staged or refused as a unit: a closed or failed log refuses it with
-// nothing staged. In sync mode it returns once the entries are durable,
+// staged or refused as a unit: a closed or failed log, or an entry the
+// log could not read back (ErrInvalidEntry), refuses it with nothing
+// staged. In sync mode it returns once the entries are durable,
 // unless async, which leaves them to the next group commit: for records
 // whose loss the caller can absorb (the router's rebalance, repair and
 // migration updates, after whose loss recovery finds the key at its
 // previous record).
 func (l *Log) AppendStriped(at []int, es []Entry, async bool) error {
+	for i := range es {
+		if err := checkEntry(&es[i]); err != nil {
+			return err
+		}
+	}
 	var mask uint64
 	for _, s := range at {
 		mask |= 1 << (uint(s) % stripeCount)
@@ -739,7 +755,9 @@ func (l *Log) Close() error {
 }
 
 // writeSnapshot atomically replaces the snapshot file with (lsn,
-// state). Caller holds l.mu (or is constructing the log).
+// state). A state entry the log could not read back refuses the whole
+// snapshot (ErrInvalidEntry) before any file is touched. Caller holds
+// l.mu (or is constructing the log).
 func (l *Log) writeSnapshot(lsn uint64, state []Entry) error {
 	buf := make([]byte, 0, 1<<12)
 	buf = append(buf, snapMagic...)
@@ -752,6 +770,9 @@ func (l *Log) writeSnapshot(lsn uint64, state []Entry) error {
 	buf = appendRawFrame(buf, hdr)
 	scratch := make([]byte, 0, 256)
 	for i := range state {
+		if err := checkEntry(&state[i]); err != nil {
+			return err
+		}
 		scratch = appendEntry(scratch[:0], &state[i])
 		buf = appendRawFrame(buf, scratch)
 	}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -159,6 +160,85 @@ func TestGeoJournalRecoveryRoundTrip(t *testing.T) {
 	}
 	keys["gen2-key"] = true
 	assertGeoEqual(t, g2, g3, keys)
+}
+
+// TestGeoJournalRefusesUnreadableKey: on a journaled Geo, a Place or
+// PlaceBatch of a key the journal could not read back (70000 bytes,
+// past its 65536-byte string bound) fails with journal.ErrInvalidEntry
+// and is rolled back, later placements succeed, and the journal
+// recovers a router equal to the live one.
+func TestGeoJournalRefusesUnreadableKey(t *testing.T) {
+	g := newTestGeo(t, 8, 2, 2, 17)
+	dir := t.TempDir()
+	lg, err := g.StartJournal(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[string]bool)
+	place := func(k string) {
+		t.Helper()
+		if _, err := g.Place(k); err != nil {
+			t.Fatal(err)
+		}
+		keys[k] = true
+	}
+	for i := 0; i < 32; i++ {
+		place(fmt.Sprintf("key-%02d", i))
+	}
+	long := strings.Repeat("x", 70000)
+	n := g.NumKeys()
+	if _, err := g.Place(long); !errors.Is(err, journal.ErrInvalidEntry) {
+		t.Fatalf("Place of a %d-byte key = %v, want journal.ErrInvalidEntry", len(long), err)
+	}
+	out := make([]BatchResult, 2)
+	g.PlaceBatch([]string{"batch-ok", long}, out)
+	for i, res := range out {
+		if !errors.Is(res.Err, journal.ErrInvalidEntry) {
+			t.Fatalf("PlaceBatch result %d = %v, want journal.ErrInvalidEntry", i, res.Err)
+		}
+	}
+	if got := g.NumKeys(); got != n {
+		t.Fatalf("NumKeys = %d after the refused placements, want %d", got, n)
+	}
+	for _, k := range []string{long, "batch-ok"} {
+		if _, err := g.Locate(k); err == nil {
+			t.Fatalf("refused key %.10q... is placed", k)
+		}
+	}
+	place("after")
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g2, _, err := RecoverGeo(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("RecoverGeo after a refused key: %v", err)
+	}
+	defer g2.Journal().Close()
+	assertGeoEqual(t, g, g2, keys)
+}
+
+// TestStartJournalRefusesUnreadableKey: StartJournal on a Geo already
+// holding a key the journal could not read back fails with
+// journal.ErrInvalidEntry instead of writing an unreadable snapshot,
+// and leaves the router without a journal.
+func TestStartJournalRefusesUnreadableKey(t *testing.T) {
+	g := newTestGeo(t, 8, 2, 2, 19)
+	if _, err := g.Place(strings.Repeat("x", 70000)); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := g.StartJournal(dir, journal.Options{NoSync: true}); !errors.Is(err, journal.ErrInvalidEntry) {
+		t.Fatalf("StartJournal = %v, want journal.ErrInvalidEntry", err)
+	}
+	if g.Journal() != nil {
+		t.Fatal("a journal is attached after the refused StartJournal")
+	}
+	if _, _, err := RecoverGeo(dir, journal.Options{NoSync: true}); err == nil {
+		t.Fatal("RecoverGeo found a journal the refused StartJournal should not have written")
+	}
 }
 
 // TestGeoJournalCompaction compacts mid-churn and asserts recovery

@@ -2,7 +2,7 @@
 // core's blocked placement pipeline.
 //
 // NearestBatch answers a whole block of queries at once, which buys
-// three things a per-query loop cannot have:
+// two things a per-query loop cannot have:
 //
 //   - Cell order. Queries are sorted into grid-cell order with a
 //     counting sort keyed by the flat home-cell index (the same order
@@ -10,21 +10,17 @@
 //     front to back — consecutive queries hit the same or adjacent
 //     rows and one query's scan warms the next one's — instead of
 //     striding across it at random.
-//   - The overlapped 3-row index (dim 2). A second copy of the
-//     cell-ordered sites stores, for each grid group (r, c), the sites
-//     of rows r-1..r+1 at column c contiguously. A query's whole fused
-//     3x3 home block is then ONE contiguous slot run bounded by two
-//     loads, instead of three runs behind six bound loads — at the
-//     price of 3x the coordinate memory, which the sorted order turns
-//     into streamed, not random, traffic.
-//   - Staged windows. The dim-2 kernel processes queries in windows of
-//     batchWindow, computing all home cells and run bounds first
-//     (back-to-back loads with no intervening branches) and then
-//     scanning each staged run in a small leaf function whose
+//   - Staged windows. The dim-2 and dim-3 kernels process queries in
+//     windows of batchWindow, computing all home cells and run bounds
+//     first (back-to-back loads with no intervening branches) and then
+//     scanning each query's staged runs in a small leaf function whose
 //     min-tracking lowers to integer conditional moves on the raw
-//     distance bits. Queries the fused block cannot certify are
-//     deferred and settled after the window by a flat 5x5 scan, with
-//     the branchy shell machinery reserved for the vanishing residue.
+//     distance bits. The runs are slot ranges of the one CSR layout
+//     the scalar kernels read: a 3x3 home block is three row runs, a
+//     3x3x3 brick nine z-column runs. Queries the fused block cannot
+//     certify are deferred and settled after the window by a flat 5x5
+//     (5x5x5) scan through the same leaf, with the branchy shell
+//     machinery reserved for the vanishing residue.
 //
 // Results are identical to calling Nearest per query — exact distance
 // ties resolve to the lowest public site index through a cold re-scan,
@@ -172,105 +168,29 @@ func (s *Space) sortByCell(sc *BatchScratch, pts []float64, q int) []int32 {
 	return ord
 }
 
-// scanRun2Flat is stage B's leaf: the minimum squared distance over one
-// contiguous overlapped-index slot run, tracked on the raw IEEE bits of
-// the distance — order-isomorphic to the float order for the
-// non-negative, non-NaN distances the kernel produces — so the
-// compare-and-update lowers to integer conditional moves with no
-// data-dependent branch. It lives in its own small function so the
-// compiler register-allocates the whole loop (inlined into the big
-// kernel body it spills). With strict-less updates bestSlot is the
-// first slot in scan order attaining the minimum; exact ties against
-// the running minimum only set sawTie (possibly stale — the caller
-// re-scans exactly). The sentinel 1<<63 (the bits of -0.0) is above
-// every distance and never compares equal.
+// scanRuns2 is the dim-2 leaf: the minimum squared distance over the
+// CSR slot runs b[t]..e[t] — stage B passes a query's three staged row
+// runs, the deferred pass the five rows of its 5x5 block. The minimum
+// is tracked on the raw IEEE bits of the distance — order-isomorphic to
+// the float order for the non-negative, non-NaN distances the kernel
+// produces — so the compare-and-update lowers to integer conditional
+// moves with no data-dependent branch. It lives in its own small
+// function so the compiler register-allocates the whole loop (inlined
+// into the big kernel body it spills). With strict-less updates
+// bestSlot is the first slot in scan order attaining the minimum; a
+// distance equal to the running minimum only sets sawTie (possibly
+// stale — the caller re-scans exactly). The minimum and the flag carry
+// across runs, so a tie between two runs is flagged like one within a
+// run. The sentinel 1<<63 (the bits of -0.0) is above every distance
+// and never compares equal.
 //
 //go:noinline
-func scanRun2Flat(xy []float64, px, py float64, b, e int32) (bestSlot int32, bestBits uint64, sawTie bool) {
-	// Two independent accumulator chains over the even and odd slots
-	// break the loop-carried dependence on one running minimum; the
-	// merge can mis-order equal minima across chains, but any equality
-	// raises sawTie and the caller's exact re-scan decides those.
-	s0, s1 := int32(-1), int32(-1)
-	b0, b1 := uint64(1)<<63, uint64(1)<<63
-	k := b
-	for ; k+1 < e; k += 2 {
-		dx0 := geom.WrapDelta(px - xy[2*k])
-		dy0 := geom.WrapDelta(py - xy[2*k+1])
-		db0 := math.Float64bits(dx0*dx0 + dy0*dy0)
-		dx1 := geom.WrapDelta(px - xy[2*k+2])
-		dy1 := geom.WrapDelta(py - xy[2*k+3])
-		db1 := math.Float64bits(dx1*dx1 + dy1*dy1)
-		if db0 == b0 || db1 == b1 {
-			sawTie = true
-		}
-		if db0 < b0 {
-			s0 = k
-		}
-		if db0 < b0 {
-			b0 = db0
-		}
-		if db1 < b1 {
-			s1 = k + 1
-		}
-		if db1 < b1 {
-			b1 = db1
-		}
-	}
-	if k < e {
-		dx := geom.WrapDelta(px - xy[2*k])
-		dy := geom.WrapDelta(py - xy[2*k+1])
-		db := math.Float64bits(dx*dx + dy*dy)
-		if db == b0 {
-			sawTie = true
-		}
-		if db < b0 {
-			s0 = k
-		}
-		if db < b0 {
-			b0 = db
-		}
-	}
-	if b0 == b1 && s1 >= 0 {
-		sawTie = true
-	}
-	if b1 < b0 {
-		return s1, b1, sawTie
-	}
-	return s0, b0, sawTie
-}
-
-// rescanTies2Flat resolves an exact distance tie with the contract's
-// rule — the lowest public site index among the sites tied at the
-// minimum — by re-scanning the run with the exact comparison chain.
-// Ties are essentially impossible for random sites, so this stays cold.
-//
-//go:noinline
-func rescanTies2Flat(xy []float64, perm []int32, px, py float64, b, e int32) (int32, float64) {
-	bestSlot := int32(-1)
-	bestD2 := math.Inf(1)
-	for k := b; k < e; k++ {
-		dx := geom.WrapDelta(px - xy[2*k])
-		dy := geom.WrapDelta(py - xy[2*k+1])
-		d2 := dx*dx + dy*dy
-		if d2 < bestD2 {
-			bestSlot, bestD2 = k, d2
-		} else if d2 == bestD2 && bestSlot >= 0 && perm[k] < perm[bestSlot] {
-			bestSlot = k
-		}
-	}
-	return bestSlot, bestD2
-}
-
-// scanRuns2x5 is scanRuns2 over the five contiguous runs of a deferred
-// query's flat 5x5 block.
-//
-//go:noinline
-func scanRuns2x5(xy []float64, px, py float64, b, e *[5]int32) (bestSlot int32, bestBits uint64, sawTie bool) {
+func scanRuns2(xy []float64, px, py float64, b, e []int32) (bestSlot int32, bestBits uint64, sawTie bool) {
 	bestSlot = -1
 	bestBits = uint64(1) << 63
-	for t := 0; t < 5; t++ {
-		for k := b[t]; k < e[t]; k++ {
+	e = e[:len(b)]
+	for t, k := range b {
+		for ; k < e[t]; k++ {
 			dx := geom.WrapDelta(px - xy[2*k])
 			dy := geom.WrapDelta(py - xy[2*k+1])
 			db := math.Float64bits(dx*dx + dy*dy)
@@ -288,14 +208,17 @@ func scanRuns2x5(xy []float64, px, py float64, b, e *[5]int32) (bestSlot int32, 
 	return bestSlot, bestBits, sawTie
 }
 
-// rescanTies2x5 is rescanTies2 for the 5x5 block.
+// rescanTies2 resolves an exact distance tie with the contract's rule —
+// the lowest public site index among the sites tied at the minimum — by
+// re-scanning scanRuns2's runs with the exact comparison chain. Ties
+// are essentially impossible for random sites, so this stays cold.
 //
 //go:noinline
-func rescanTies2x5(xy []float64, perm []int32, px, py float64, b, e *[5]int32) (int32, float64) {
+func rescanTies2(xy []float64, perm []int32, px, py float64, b, e []int32) (int32, float64) {
 	bestSlot := int32(-1)
 	bestD2 := math.Inf(1)
-	for t := 0; t < 5; t++ {
-		for k := b[t]; k < e[t]; k++ {
+	for t, k := range b {
+		for ; k < e[t]; k++ {
 			dx := geom.WrapDelta(px - xy[2*k])
 			dy := geom.WrapDelta(py - xy[2*k+1])
 			d2 := dx*dx + dy*dy
@@ -310,14 +233,14 @@ func rescanTies2x5(xy []float64, perm []int32, px, py float64, b, e *[5]int32) (
 }
 
 // nearestBatch2 answers cell-ordered dim=2 queries in two passes. The
-// hot pass inlines nearest2's fused 3x3 home-block scan with no calls
-// and minimal live state (register-resident; the shared single-query
-// kernel spills), writes each query's block winner, and records the
-// queries whose block scan does not yet certify the winner. The second
-// pass walks shells >= 2 for just those deferred queries through the
-// shared nearest2Tail — for uniform sites at the default grid density
-// that is a small minority, so the branchy shell machinery stays off
-// the common path entirely.
+// hot pass scans each query's fused 3x3 home block with no calls but
+// the leaf and minimal live state (register-resident; the shared
+// single-query kernel spills), writes each query's block winner, and
+// records the queries whose block scan does not yet certify the winner.
+// The second pass walks shells >= 2 for just those deferred queries —
+// for uniform sites at the default grid density that is a small
+// minority, so the branchy shell machinery stays off the common path
+// entirely.
 func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *BatchScratch, visits *uint64) {
 	g := s.g
 	gf := float64(g)
@@ -336,24 +259,20 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 
 	// The hot pass runs in windows of batchWindow queries, two stages
 	// per window. Stage A walks the sorted queries once computing home
-	// cells and loading each query's overlapped-index run bounds — the
-	// whole 3x3 home block is ONE contiguous slot run there, two
-	// start3[] loads issued back to back with no intervening branches,
-	// so the loads of the whole window overlap. Stage B then scans each
-	// staged run with everything register-resident. Queries whose
-	// column span wraps (hy on the torus seam) and tiny grids take the
-	// unstaged slow path below — a per-mille case at production
-	// densities.
+	// cells and loading the bounds of each query's three row runs: row
+	// hx+o of the 3x3 home block is the contiguous CSR slot range
+	// start[rb+hy-1]..start[rb+hy+2], so the six start[] loads issue back
+	// to back with no intervening branches, and the loads of the whole
+	// window overlap. Stage B then scans each query's staged runs with
+	// everything register-resident. Queries whose column span wraps (hy
+	// on the torus seam) and tiny grids take the unstaged slow path
+	// below — a per-mille case at production densities.
 	const batchWindow = 64
 	var wqi [batchWindow]int32 // query index
 	var wpx, wpy [batchWindow]float64
-	var wthr [batchWindow]float64 // squared (1+mb)*cw certification radius
-	var wb [batchWindow]int32     // overlapped run start
-	var we [batchWindow]int32     // overlapped run end
-	var slow [batchWindow]int32   // wrap-column queries of this window
-	start3 := s.start3
-	xy3 := s.soa3
-	perm3 := s.perm3
+	var wthr [batchWindow]float64     // squared (1+mb)*cw certification radius
+	var wb, we [3 * batchWindow]int32 // row run bounds, three per query
+	var slow [batchWindow]int32       // wrap-column queries of this window
 	staged := g >= 5
 	for w := 0; w < len(ord); w += batchWindow {
 		wn := len(ord) - w
@@ -388,9 +307,14 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 			wpx[na] = px
 			wpy[na] = py
 			wthr[na] = lower * lower
-			gb := hx*g + hy
-			wb[na] = start3[gb-1]
-			we[na] = start3[gb+2]
+			hx += g
+			r0 := int(wrapRow[hx-1]) + hy
+			r1 := int(wrapRow[hx]) + hy
+			r2 := int(wrapRow[hx+1]) + hy
+			t := 3 * na
+			wb[t], we[t] = start[r0-1], start[r0+2]
+			wb[t+1], we[t+1] = start[r1-1], start[r1+2]
+			wb[t+2], we[t+2] = start[r2-1], start[r2+2]
 			na++
 		}
 		v += uint64(9 * na)
@@ -400,18 +324,19 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 		// the leaf and resolved by a rare exact re-scan.
 		for j := 0; j < na; j++ {
 			px, py := wpx[j], wpy[j]
-			bestSlot, bestBits, sawTie := scanRun2Flat(xy3, px, py, wb[j], we[j])
+			b, e := wb[3*j:3*j+3], we[3*j:3*j+3]
+			bestSlot, bestBits, sawTie := scanRuns2(xy, px, py, b, e)
 			bestD2 := math.Float64frombits(bestBits)
 			if bestSlot < 0 {
 				bestD2 = math.Inf(1)
 			}
 			if sawTie {
-				bestSlot, bestD2 = rescanTies2Flat(xy3, perm3, px, py, wb[j], we[j])
+				bestSlot, bestD2 = rescanTies2(xy, perm, px, py, b, e)
 			}
 			qi := wqi[j]
 			best := int32(-1)
 			if bestSlot >= 0 {
-				best = perm3[bestSlot]
+				best = perm[bestSlot]
 			}
 			out[qi] = best
 			// Certification (the first iteration of nearest2Tail's
@@ -501,13 +426,13 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 				b5[o] = start[rb-2]
 				e5[o] = start[rb+3]
 			}
-			bestSlot, bestBits, sawTie := scanRuns2x5(xy, px, py, &b5, &e5)
+			bestSlot, bestBits, sawTie := scanRuns2(xy, px, py, b5[:], e5[:])
 			bestD2 := math.Float64frombits(bestBits)
 			if bestSlot < 0 {
 				bestD2 = math.Inf(1)
 			}
 			if sawTie {
-				bestSlot, bestD2 = rescanTies2x5(xy, perm, px, py, &b5, &e5)
+				bestSlot, bestD2 = rescanTies2(xy, perm, px, py, b5[:], e5[:])
 			}
 			v += 25
 			best := -1
@@ -531,94 +456,18 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 	*visits += v
 }
 
-// scanRun3Flat is the dim-3 stage-B leaf: scanRun2Flat with the third
-// coordinate unrolled, over one contiguous brick-index slot run. Same
-// bits-tracked min, dual accumulator chains, and stale-tie contract.
+// scanRuns3 is the dim-3 leaf: scanRuns2 with the third coordinate
+// unrolled — stage B passes a query's nine staged z-column runs, the
+// deferred pass the 25 columns of its 5x5x5 block. Same bits-tracked
+// min, and the same stale-tie contract across runs.
 //
 //go:noinline
-func scanRun3Flat(xyz []float64, px, py, pz float64, b, e int32) (bestSlot int32, bestBits uint64, sawTie bool) {
-	s0, s1 := int32(-1), int32(-1)
-	b0, b1 := uint64(1)<<63, uint64(1)<<63
-	k := b
-	for ; k+1 < e; k += 2 {
-		dx0 := geom.WrapDelta(px - xyz[3*k])
-		dy0 := geom.WrapDelta(py - xyz[3*k+1])
-		dz0 := geom.WrapDelta(pz - xyz[3*k+2])
-		db0 := math.Float64bits(dx0*dx0 + dy0*dy0 + dz0*dz0)
-		dx1 := geom.WrapDelta(px - xyz[3*k+3])
-		dy1 := geom.WrapDelta(py - xyz[3*k+4])
-		dz1 := geom.WrapDelta(pz - xyz[3*k+5])
-		db1 := math.Float64bits(dx1*dx1 + dy1*dy1 + dz1*dz1)
-		if db0 == b0 || db1 == b1 {
-			sawTie = true
-		}
-		if db0 < b0 {
-			s0 = k
-		}
-		if db0 < b0 {
-			b0 = db0
-		}
-		if db1 < b1 {
-			s1 = k + 1
-		}
-		if db1 < b1 {
-			b1 = db1
-		}
-	}
-	if k < e {
-		dx := geom.WrapDelta(px - xyz[3*k])
-		dy := geom.WrapDelta(py - xyz[3*k+1])
-		dz := geom.WrapDelta(pz - xyz[3*k+2])
-		db := math.Float64bits(dx*dx + dy*dy + dz*dz)
-		if db == b0 {
-			sawTie = true
-		}
-		if db < b0 {
-			s0 = k
-		}
-		if db < b0 {
-			b0 = db
-		}
-	}
-	if b0 == b1 && s1 >= 0 {
-		sawTie = true
-	}
-	if b1 < b0 {
-		return s1, b1, sawTie
-	}
-	return s0, b0, sawTie
-}
-
-// rescanTies3Flat resolves an exact distance tie in a brick-index run
-// with the contract's lowest-public-index rule; cold by construction.
-//
-//go:noinline
-func rescanTies3Flat(xyz []float64, perm []int32, px, py, pz float64, b, e int32) (int32, float64) {
-	bestSlot := int32(-1)
-	bestD2 := math.Inf(1)
-	for k := b; k < e; k++ {
-		dx := geom.WrapDelta(px - xyz[3*k])
-		dy := geom.WrapDelta(py - xyz[3*k+1])
-		dz := geom.WrapDelta(pz - xyz[3*k+2])
-		d2 := dx*dx + dy*dy + dz*dz
-		if d2 < bestD2 {
-			bestSlot, bestD2 = k, d2
-		} else if d2 == bestD2 && bestSlot >= 0 && perm[k] < perm[bestSlot] {
-			bestSlot = k
-		}
-	}
-	return bestSlot, bestD2
-}
-
-// scanRuns3x25 scans the 25 contiguous z-column runs of a deferred
-// dim-3 query's flat 5x5x5 block with the bits-tracked min.
-//
-//go:noinline
-func scanRuns3x25(xyz []float64, px, py, pz float64, b, e *[25]int32) (bestSlot int32, bestBits uint64, sawTie bool) {
+func scanRuns3(xyz []float64, px, py, pz float64, b, e []int32) (bestSlot int32, bestBits uint64, sawTie bool) {
 	bestSlot = -1
 	bestBits = uint64(1) << 63
-	for t := 0; t < 25; t++ {
-		for k := b[t]; k < e[t]; k++ {
+	e = e[:len(b)]
+	for t, k := range b {
+		for ; k < e[t]; k++ {
 			dx := geom.WrapDelta(px - xyz[3*k])
 			dy := geom.WrapDelta(py - xyz[3*k+1])
 			dz := geom.WrapDelta(pz - xyz[3*k+2])
@@ -637,14 +486,15 @@ func scanRuns3x25(xyz []float64, px, py, pz float64, b, e *[25]int32) (bestSlot 
 	return bestSlot, bestBits, sawTie
 }
 
-// rescanTies3x25 is rescanTies3Flat for the 5x5x5 block.
+// rescanTies3 resolves an exact distance tie over scanRuns3's runs with
+// the contract's lowest-public-index rule; cold by construction.
 //
 //go:noinline
-func rescanTies3x25(xyz []float64, perm []int32, px, py, pz float64, b, e *[25]int32) (int32, float64) {
+func rescanTies3(xyz []float64, perm []int32, px, py, pz float64, b, e []int32) (int32, float64) {
 	bestSlot := int32(-1)
 	bestD2 := math.Inf(1)
-	for t := 0; t < 25; t++ {
-		for k := b[t]; k < e[t]; k++ {
+	for t, k := range b {
+		for ; k < e[t]; k++ {
 			dx := geom.WrapDelta(px - xyz[3*k])
 			dy := geom.WrapDelta(py - xyz[3*k+1])
 			dz := geom.WrapDelta(pz - xyz[3*k+2])
@@ -659,14 +509,15 @@ func rescanTies3x25(xyz []float64, perm []int32, px, py, pz float64, b, e *[25]i
 	return bestSlot, bestD2
 }
 
-// nearestBatch3 is nearestBatch2's shape lifted to dim 3: the hot pass
-// stages each window's home bricks as single overlapped-index runs
-// (start9 bounds loaded back to back), stage B scans them with the
+// nearestBatch3 is nearestBatch2's shape lifted to dim 3: stage A
+// stages each window's home bricks as nine z-column runs — column
+// (hx+xo, hy+yo) of the 3x3x3 brick is the contiguous CSR slot range
+// start[rb+hz-1]..start[rb+hz+2] — stage B scans them with the
 // register-resident leaf, and queries the (1+mb) bound cannot certify
 // are settled after the block by a flat 5x5x5 scan with the shell
-// machinery reserved for the residue. Queries on the z seam (where the
-// brick's z span wraps and is not one overlapped run) and tiny grids
-// take the unstaged buildRuns3 slow path, exactly as nearest3 scans.
+// machinery reserved for the residue. Queries on the z seam (where a
+// column's z span wraps and is not one run) and tiny grids take the
+// unstaged buildRuns3 slow path, exactly as nearest3 scans.
 func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *BatchScratch, visits *uint64) {
 	g := s.g
 	gf := float64(g)
@@ -687,13 +538,9 @@ func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *Batch
 	const batchWindow = 64
 	var wqi [batchWindow]int32
 	var wpx, wpy, wpz [batchWindow]float64
-	var wthr [batchWindow]float64 // squared (1+mb)*cw certification radius
-	var wb [batchWindow]int32     // overlapped run start
-	var we [batchWindow]int32     // overlapped run end
-	var slow [batchWindow]int32   // wrap-column queries of this window
-	start9 := s.start9
-	xyz9 := s.soa9
-	perm9 := s.perm9
+	var wthr [batchWindow]float64     // squared (1+mb)*cw certification radius
+	var wb, we [9 * batchWindow]int32 // column run bounds, nine per query
+	var slow [batchWindow]int32       // wrap-column queries of this window
 	staged := g >= 5
 	for w := 0; w < len(ord); w += batchWindow {
 		wn := len(ord) - w
@@ -736,9 +583,17 @@ func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *Batch
 			wpy[na] = py
 			wpz[na] = pz
 			wthr[na] = lower * lower
-			gb := (hx*g+hy)*g + hz
-			wb[na] = start9[gb-1]
-			we[na] = start9[gb+2]
+			hx += g
+			hy += g
+			t := 9 * na
+			for xo := -1; xo <= 1; xo++ {
+				pb := int(wrapPlane[hx+xo]) + hz
+				for yo := -1; yo <= 1; yo++ {
+					rb := pb + int(wrapRow[hy+yo])
+					wb[t], we[t] = start[rb-1], start[rb+2]
+					t++
+				}
+			}
 			na++
 		}
 		v += uint64(27 * na)
@@ -746,18 +601,19 @@ func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *Batch
 		// cold exact re-scan.
 		for j := 0; j < na; j++ {
 			px, py, pz := wpx[j], wpy[j], wpz[j]
-			bestSlot, bestBits, sawTie := scanRun3Flat(xyz9, px, py, pz, wb[j], we[j])
+			b, e := wb[9*j:9*j+9], we[9*j:9*j+9]
+			bestSlot, bestBits, sawTie := scanRuns3(xyz, px, py, pz, b, e)
 			bestD2 := math.Float64frombits(bestBits)
 			if bestSlot < 0 {
 				bestD2 = math.Inf(1)
 			}
 			if sawTie {
-				bestSlot, bestD2 = rescanTies3Flat(xyz9, perm9, px, py, pz, wb[j], we[j])
+				bestSlot, bestD2 = rescanTies3(xyz, perm, px, py, pz, b, e)
 			}
 			qi := wqi[j]
 			best := int32(-1)
 			if bestSlot >= 0 {
-				best = perm9[bestSlot]
+				best = perm[bestSlot]
 			}
 			out[qi] = best
 			if best < 0 || bestD2 > wthr[j] {
@@ -864,13 +720,13 @@ func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *Batch
 					o++
 				}
 			}
-			bestSlot, bestBits, sawTie := scanRuns3x25(xyz, px, py, pz, &b25, &e25)
+			bestSlot, bestBits, sawTie := scanRuns3(xyz, px, py, pz, b25[:], e25[:])
 			bestD2 := math.Float64frombits(bestBits)
 			if bestSlot < 0 {
 				bestD2 = math.Inf(1)
 			}
 			if sawTie {
-				bestSlot, bestD2 = rescanTies3x25(xyz, perm, px, py, pz, &b25, &e25)
+				bestSlot, bestD2 = rescanTies3(xyz, perm, px, py, pz, b25[:], e25[:])
 			}
 			v += 125
 			best := -1

@@ -46,8 +46,8 @@ func TestNearestBatchAdversarialAgainstNearest(t *testing.T) {
 	r := rng.New(193)
 	sizes := map[int]int{1: 64, 2: 256, 3: 343, 4: 256}
 	// Grids below and at the staged kernels' minimum (g >= 5): dim=3
-	// g=5 and g=7 take the brick-index path, dim=4 g=4 the generic
-	// loop and g=6 the staged row-ordered kernel.
+	// g=5 and g=7 take the staged nine-column-run path, dim=4 g=4 the
+	// generic loop and g=6 the staged row-ordered kernel.
 	grids := map[int][]int{1: {16}, 2: {4, 16}, 3: {4, 5, 7}, 4: {4, 6}}
 	for dim := 1; dim <= 4; dim++ {
 		for _, g := range grids[dim] {
@@ -205,10 +205,63 @@ func TestNearestBatchTinyGrids(t *testing.T) {
 	}
 }
 
+// TestNearestBatchTiesAcrossRuns pins exact-tie resolution between the
+// slot runs the staged batch kernels scan: two sites at exactly equal
+// distance from the query, in different runs of its 3x3 home block
+// (rows in dim 2, z columns in dim 3) or of the deferred 5x5 (5x5x5)
+// block, with the higher public index in the run scanned first.
+// NearestBatch must return the lower index, as Nearest does. The query
+// is (0.5, ...) on a g=8 grid — home cell 4 on every axis, off the
+// seam — and every coordinate is dyadic, so the distances tie exactly.
+// Most cases tie before the block's last run, so a leaf that dropped
+// its tie flag between runs would return the first-scanned site.
+func TestNearestBatchTiesAcrossRuns(t *testing.T) {
+	cases := []struct {
+		name        string
+		first, last geom.Vec // tied sites in the run scanned first and a later one
+	}{
+		// dim 2: the 3x3 block is rows 3, 4, 5, scanned in that order.
+		{"dim=2/rows=3,5", geom.Vec{0.375, 0.5}, geom.Vec{0.625, 0.5}},
+		{"dim=2/rows=3,4", geom.Vec{0.375, 0.5}, geom.Vec{0.5, 0.625}},
+		{"dim=2/rows=4,5", geom.Vec{0.5, 0.375}, geom.Vec{0.625, 0.5}},
+		// An empty 3x3 block defers the query to the 5x5 rows 2..6.
+		{"dim=2/5x5/rows=2,4", geom.Vec{0.25, 0.5}, geom.Vec{0.5, 0.25}},
+		// dim 3: the brick is columns (x, y) for x, y in 3..5, y fastest.
+		{"dim=3/cols=(3,4),(5,4)", geom.Vec{0.375, 0.5, 0.5}, geom.Vec{0.625, 0.5, 0.5}},
+		{"dim=3/cols=(3,4),(4,3)", geom.Vec{0.375, 0.5, 0.5}, geom.Vec{0.5, 0.375, 0.5}},
+		{"dim=3/cols=(4,4),(4,5)", geom.Vec{0.5, 0.5, 0.375}, geom.Vec{0.5, 0.625, 0.5}},
+		{"dim=3/5x5x5/cols=(2,4),(4,2)", geom.Vec{0.25, 0.5, 0.5}, geom.Vec{0.5, 0.25, 0.5}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dim := len(tc.first)
+			sp, err := FromSitesGrid([]geom.Vec{tc.last, tc.first}, dim, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := make(geom.Vec, dim)
+			for j := range q {
+				q[j] = 0.5
+			}
+			if a, b := geom.TorusDist2(q, tc.first), geom.TorusDist2(q, tc.last); a != b {
+				t.Fatalf("sites not tied: %v vs %v", a, b)
+			}
+			if want, _ := sp.Nearest(q); want != 0 {
+				t.Fatalf("Nearest = %d, want the lower index 0", want)
+			}
+			out := make([]int32, 1)
+			sp.NearestBatch(q, out)
+			if out[0] != 0 {
+				t.Fatalf("NearestBatch = %d, want the lower index 0", out[0])
+			}
+		})
+	}
+}
+
 // TestNearestBatchAfterReseed checks that Reseed invalidates and
-// rebuilds everything the batch kernel reads (the overlapped index
-// included): a reseeded space must answer exactly like a freshly built
-// one.
+// rebuilds everything the batch kernel reads (the CSR arrays it stages
+// its row runs from, and the wrap tables): a reseeded space must answer
+// exactly like a freshly built one.
 func TestNearestBatchAfterReseed(t *testing.T) {
 	r1, r2 := rng.New(239), rng.New(239)
 	sp, err := NewRandom(1<<10, 2, r1)

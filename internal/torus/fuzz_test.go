@@ -22,8 +22,8 @@ func FuzzNearest(f *testing.F) {
 	f.Add([]byte{3, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 50, 60, 70, 80, 90, 100})
 	f.Add([]byte{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150, 160, 170})
 	// Seeds big enough that gridFor picks g >= 5, so the fuzzer starts
-	// inside the staged kernels: the dim-3 brick index needs ~46+ sites,
-	// the dim-4 row-ordered scan ~256. Coordinates come from a fixed
+	// inside the staged kernels: the dim-3 nine-column-run scan needs
+	// ~46+ sites, the dim-4 row-ordered scan ~256. Coordinates come from a fixed
 	// LCG so the corpus is deterministic.
 	for _, c := range []struct {
 		tag byte // data[0]; dim = tag%4 + 1

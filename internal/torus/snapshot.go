@@ -10,9 +10,9 @@
 // almost entirely reusable: the new perm/soa arrays are three memcpy
 // segments around one spliced slot, the bucket boundaries shift by one
 // past the touched cell, and the per-site cell cache carries over —
-// no per-site cell recomputation, no counting sort. The overlapped
-// 3-row index (dim 2) is refilled by the same sequential merge Reseed
-// uses, reading the freshly spliced CSR structure.
+// no per-site cell recomputation, no counting sort. The CSR arrays
+// are the only site layout the query kernels read, scalar and batch
+// alike, so the splice is the whole index.
 //
 // The resulting Space is structurally identical to one built from
 // scratch over the same site list (test-pinned), including the grid
@@ -129,8 +129,6 @@ func (s *Space) WithSite(p geom.Vec) (*Space, error) {
 	cellOf[n] = int32(c)
 
 	nt.start, nt.perm, nt.slotOf, nt.soa, nt.cellOf = start, perm, slotOf, soa, cellOf
-	nt.buildOverlap2()
-	nt.buildOverlap3()
 	return nt, nil
 }
 
@@ -188,17 +186,15 @@ func (s *Space) WithoutSite(i int) (*Space, error) {
 	copy(cellOf[i:], s.cellOf[i+1:n])
 
 	nt.start, nt.perm, nt.slotOf, nt.soa, nt.cellOf = start, perm, slotOf, soa, cellOf
-	nt.buildOverlap2()
-	nt.buildOverlap3()
 	return nt, nil
 }
 
 // CheckIndex verifies the structural invariants of the grid index —
 // CSR bucket boundaries, the perm/slotOf bijection, the cell-ordered
-// SoA mirror, the per-site cell cache, the wrap tables, and (dim 2)
-// the overlapped 3-row index — against the public site list. It is the
-// oracle behind the incremental-snapshot tests and router.Geo's
-// topology checks; it allocates and is not for hot paths.
+// SoA mirror, the per-site cell cache and the wrap tables — against
+// the public site list. It is the oracle behind the incremental-snapshot
+// tests and router.Geo's topology checks; it allocates and is not for
+// hot paths.
 func (s *Space) CheckIndex() error {
 	n := len(s.sites)
 	dim := s.dim
@@ -257,95 +253,6 @@ func (s *Space) CheckIndex() error {
 	for j, w := range s.wrap {
 		if w != int32(j%g) {
 			return fmt.Errorf("torus: wrap[%d] = %d", j, w)
-		}
-	}
-	if err := s.checkOverlap2(); err != nil {
-		return err
-	}
-	return s.checkOverlap3()
-}
-
-// checkOverlap2 verifies the dim-2 overlapped 3-row index against the
-// CSR structure by an independent walk (not the builder's merge).
-func (s *Space) checkOverlap2() error {
-	g := s.g
-	if s.dim != 2 || g < 5 {
-		if len(s.start3) != 0 {
-			return fmt.Errorf("torus: unexpected overlapped index (dim %d, g %d)", s.dim, g)
-		}
-		return nil
-	}
-	n := len(s.sites)
-	nc := g * g
-	if len(s.start3) != nc+1 || s.start3[0] != 0 || s.start3[nc] != int32(3*n) {
-		return fmt.Errorf("torus: overlapped boundaries malformed")
-	}
-	for r := 0; r < g; r++ {
-		for c := 0; c < g; c++ {
-			pos := s.start3[r*g+c]
-			for _, ro := range [3]int{(r + g - 1) % g, r, (r + 1) % g} {
-				sb := ro*g + c
-				for k := s.start[sb]; k < s.start[sb+1]; k++ {
-					if pos >= s.start3[r*g+c+1] {
-						return fmt.Errorf("torus: overlapped group (%d,%d) too short", r, c)
-					}
-					if s.perm3[pos] != s.perm[k] ||
-						s.soa3[2*pos] != s.soa[2*k] || s.soa3[2*pos+1] != s.soa[2*k+1] {
-						return fmt.Errorf("torus: overlapped group (%d,%d) diverges at %d", r, c, pos)
-					}
-					pos++
-				}
-			}
-			if pos != s.start3[r*g+c+1] {
-				return fmt.Errorf("torus: overlapped group (%d,%d) too long", r, c)
-			}
-		}
-	}
-	return nil
-}
-
-// checkOverlap3 verifies the dim-3 overlapped 9-cell brick index
-// against the CSR structure by an independent walk (not the builder's
-// merge).
-func (s *Space) checkOverlap3() error {
-	g := s.g
-	if s.dim != 3 || g < 5 {
-		if len(s.start9) != 0 {
-			return fmt.Errorf("torus: unexpected brick index (dim %d, g %d)", s.dim, g)
-		}
-		return nil
-	}
-	n := len(s.sites)
-	nc := g * g * g
-	if len(s.start9) != nc+1 || s.start9[0] != 0 || s.start9[nc] != int32(9*n) {
-		return fmt.Errorf("torus: brick boundaries malformed")
-	}
-	for x := 0; x < g; x++ {
-		for y := 0; y < g; y++ {
-			for z := 0; z < g; z++ {
-				gb := (x*g+y)*g + z
-				pos := s.start9[gb]
-				for _, xo := range [3]int{(x + g - 1) % g, x, (x + 1) % g} {
-					for _, yo := range [3]int{(y + g - 1) % g, y, (y + 1) % g} {
-						sb := (xo*g+yo)*g + z
-						for k := s.start[sb]; k < s.start[sb+1]; k++ {
-							if pos >= s.start9[gb+1] {
-								return fmt.Errorf("torus: brick group (%d,%d,%d) too short", x, y, z)
-							}
-							if s.perm9[pos] != s.perm[k] ||
-								s.soa9[3*pos] != s.soa[3*k] ||
-								s.soa9[3*pos+1] != s.soa[3*k+1] ||
-								s.soa9[3*pos+2] != s.soa[3*k+2] {
-								return fmt.Errorf("torus: brick group (%d,%d,%d) diverges at %d", x, y, z, pos)
-							}
-							pos++
-						}
-					}
-				}
-				if pos != s.start9[gb+1] {
-					return fmt.Errorf("torus: brick group (%d,%d,%d) too long", x, y, z)
-				}
-			}
 		}
 	}
 	return nil

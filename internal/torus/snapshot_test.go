@@ -29,9 +29,6 @@ func indexFields(s *Space) map[string]any {
 		"soa":    append([]float64(nil), s.soa...),
 		"cellOf": append([]int32(nil), s.cellOf[:len(s.sites)]...),
 		"wrap":   append([]int32(nil), s.wrap...),
-		"start3": append([]int32(nil), s.start3...),
-		"perm3":  append([]int32(nil), s.perm3...),
-		"soa3":   append([]float64(nil), s.soa3...),
 	}
 }
 

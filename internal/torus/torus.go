@@ -19,14 +19,18 @@
 // Reseed operate on — their semantics are unchanged by the fast path.
 // The query kernels instead read a flat coordinate buffer soa, permuted
 // into grid-cell (CSR) order, so scanning a cell — or a whole row of
-// adjacent cells, which the CSR order makes one contiguous slot range —
-// streams through memory instead of pointer-chasing one heap slice per
-// candidate. Within the buffer a slot's coordinates are packed
-// site-major (axis j of slot k at soa[k*dim+j]): every candidate needs
-// all of its coordinates for the distance test, so packing them on one
-// cache line measures faster than per-axis slabs, whose second slab
-// costs a second memory stream. perm maps a cell slot back to the
-// public site index (perm[k] = i) and slotOf is its inverse
+// adjacent cells, which the CSR order makes one contiguous slot range
+// start[c0]..start[c1+1] — streams through memory instead of
+// pointer-chasing one heap slice per candidate. This cell-ordered CSR
+// layout (start, perm, soa) is the only one the kernels read: a query's
+// 3x3 home block is three row runs and a 3x3x3 brick nine z-column runs
+// (one more run per row or column on the torus seam), for the scalar
+// and the batch kernels alike. Within the buffer a slot's coordinates
+// are packed site-major (axis j of slot k at soa[k*dim+j]): every
+// candidate needs all of its coordinates for the distance test, so
+// packing them on one cache line measures faster than per-axis slabs,
+// whose second slab costs a second memory stream. perm maps a cell slot
+// back to the public site index (perm[k] = i) and slotOf is its inverse
 // (slotOf[i] = k); all results, weights, and tie breaks are expressed
 // in public indices, so callers never observe the permutation.
 //
@@ -85,8 +89,10 @@ type Space struct {
 	sites   []geom.Vec
 	weights []float64 // nil until SetWeights
 
-	// Grid index in CSR layout over cell-ordered SoA coordinates (see
-	// the package comment on the storage layout).
+	// Grid index in CSR layout over cell-ordered SoA coordinates, the
+	// only site layout the query kernels read (see the package comment
+	// on the storage layout): cells c0..c1 of one row are the slot run
+	// start[c0]..start[c1+1].
 	g         int       // cells per axis
 	cellWidth float64   // 1/g
 	start     []int32   // len g^dim+1; bucket boundaries
@@ -103,28 +109,6 @@ type Space struct {
 	wrapRow   []int32 // dims 2-4
 	wrapPlane []int32 // dims 3-4
 	wrapCube  []int32 // dim 4
-
-	// Overlapped 3-row index for the dim-2 batch kernel (see batch.go):
-	// group (r, c) stores the sites of cells (r-1, c), (r, c), (r+1, c)
-	// — wrapped — contiguously, so a query's whole 3x3 home block is ONE
-	// slot run bounded by two loads. Each site appears three times
-	// (3x the SoA memory); built by rebuildCells for dim 2 on grids the
-	// staged kernel handles (g >= 5).
-	start3 []int32   // len g^2+1; group boundaries
-	soa3   []float64 // len 3n*2; coordinates in group order
-	perm3  []int32   // len 3n; public site index per overlapped slot
-
-	// Overlapped 9-cell index for the dim-3 batch kernel, the brick
-	// generalization of the 3-row index above: group (x, y, z) stores
-	// the sites of the nine cells (x+dx, y+dy, z) for dx, dy in
-	// {-1, 0, 1} — wrapped — contiguously, so a query's whole fused
-	// 3x3x3 home brick is the single slot run
-	// start9[gb-1]..start9[gb+2]. Each site appears nine times (9x the
-	// SoA memory); built by rebuildCells for dim 3 on grids the staged
-	// kernel handles (g >= 5).
-	start9 []int32   // len g^3+1; group boundaries
-	soa9   []float64 // len 9n*3; coordinates in group order
-	perm9  []int32   // len 9n; public site index per overlapped slot
 
 	// cellsScanned counts grid cells examined by nearest queries across
 	// the Space's lifetime — instrumentation for the duplicate-scan
@@ -310,131 +294,6 @@ func (s *Space) rebuildCells() {
 		}
 	}
 	s.buildWrapTables()
-	s.buildOverlap2()
-	s.buildOverlap3()
-}
-
-// buildOverlap2 (re)builds the overlapped 3-row index for the dim-2
-// batch kernel. It reads the freshly built CSR structure group by group
-// (three contiguous source runs per group), so the fill is a sequential
-// merge, not a scatter. Grids too small for the staged kernel (g < 5,
-// where wrapped rows coincide) skip it — the batch kernel's slow path
-// never touches it there.
-func (s *Space) buildOverlap2() {
-	if s.dim != 2 || s.g < 5 {
-		s.start3 = s.start3[:0]
-		return
-	}
-	n := len(s.sites)
-	g := s.g
-	nc := g * g
-	if cap(s.start3) < nc+1 {
-		s.start3 = make([]int32, nc+1)
-		s.soa3 = make([]float64, 3*n*2)
-		s.perm3 = make([]int32, 3*n)
-	}
-	start := s.start
-	start3 := s.start3[:nc+1]
-	soa3 := s.soa3[:3*n*2]
-	perm3 := s.perm3[:3*n]
-	soa := s.soa
-	perm := s.perm
-	pos := int32(0)
-	for r := 0; r < g; r++ {
-		rm := r - 1
-		if rm < 0 {
-			rm = g - 1
-		}
-		rp := r + 1
-		if rp == g {
-			rp = 0
-		}
-		b0, b1, b2 := rm*g, r*g, rp*g
-		for c := 0; c < g; c++ {
-			start3[r*g+c] = pos
-			for _, sb := range [3]int{b0 + c, b1 + c, b2 + c} {
-				for k := start[sb]; k < start[sb+1]; k++ {
-					soa3[2*pos] = soa[2*k]
-					soa3[2*pos+1] = soa[2*k+1]
-					perm3[pos] = perm[k]
-					pos++
-				}
-			}
-		}
-	}
-	start3[nc] = pos
-}
-
-// buildOverlap3 (re)builds the overlapped 9-cell brick index for the
-// dim-3 batch kernel — the 3D generalization of buildOverlap2: group
-// (x, y, z) stores the nine cells (x±1, y±1, z) contiguously, so the
-// three consecutive groups (x, y, z-1..z+1) concatenate to exactly the
-// 27 cells of the fused home brick. Like the 3-row index the fill is a
-// sequential merge of contiguous CSR source runs (each group's nine
-// cells are nine z-columns at fixed (x, y) rows), and grids too small
-// for the staged kernel (g < 5) skip it.
-func (s *Space) buildOverlap3() {
-	if s.dim != 3 || s.g < 5 {
-		s.start9 = s.start9[:0]
-		return
-	}
-	n := len(s.sites)
-	g := s.g
-	nc := g * g * g
-	if cap(s.start9) < nc+1 {
-		s.start9 = make([]int32, nc+1)
-		s.soa9 = make([]float64, 9*n*3)
-		s.perm9 = make([]int32, 9*n)
-	}
-	start := s.start
-	start9 := s.start9[:nc+1]
-	soa9 := s.soa9[:9*n*3]
-	perm9 := s.perm9[:9*n]
-	soa := s.soa
-	perm := s.perm
-	pos := int32(0)
-	var rows [9]int
-	for x := 0; x < g; x++ {
-		xm, xp := x-1, x+1
-		if xm < 0 {
-			xm = g - 1
-		}
-		if xp == g {
-			xp = 0
-		}
-		for y := 0; y < g; y++ {
-			ym, yp := y-1, y+1
-			if ym < 0 {
-				ym = g - 1
-			}
-			if yp == g {
-				yp = 0
-			}
-			nr := 0
-			for _, xx := range [3]int{xm, x, xp} {
-				pb := xx * g * g
-				for _, yy := range [3]int{ym, y, yp} {
-					rows[nr] = pb + yy*g
-					nr++
-				}
-			}
-			base := (x*g + y) * g
-			for z := 0; z < g; z++ {
-				start9[base+z] = pos
-				for _, rb := range rows {
-					sb := rb + z
-					for k := start[sb]; k < start[sb+1]; k++ {
-						soa9[3*pos] = soa[3*k]
-						soa9[3*pos+1] = soa[3*k+1]
-						soa9[3*pos+2] = soa[3*k+2]
-						perm9[pos] = perm[k]
-						pos++
-					}
-				}
-			}
-		}
-	}
-	start9[nc] = pos
 }
 
 // buildWrapTables (re)builds the biased modular-coordinate tables for
