@@ -232,14 +232,15 @@ func (d *decoder) str() string {
 	return s
 }
 
-// checkEntry returns an error wrapping ErrInvalidEntry when
+// CheckEntry returns an error wrapping ErrInvalidEntry when
 // decodeEntry would reject e's encoding: a name or key past
 // maxStringLen bytes, more than maxCoords coordinates, a replica count,
 // slot, choice index or replication factor outside its bound, or an
 // unknown op. Append, AppendStriped and the snapshot writer call it
 // before they stage or write anything, so the journal never holds a
-// record it cannot read back.
-func checkEntry(e *Entry) error {
+// record it cannot read back; a caller that stages many entries as one
+// unit calls it per entry first, to refuse only the unreadable ones.
+func CheckEntry(e *Entry) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: entry %v: %s", ErrInvalidEntry, e.Op, fmt.Sprintf(format, args...))
 	}

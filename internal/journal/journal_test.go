@@ -74,26 +74,26 @@ func invalidEntries() map[string]Entry {
 	}
 }
 
-// TestCheckEntryMatchesDecoder pins checkEntry to decodeEntry's bounds:
+// TestCheckEntryMatchesDecoder pins CheckEntry to decodeEntry's bounds:
 // it refuses every entry past a bound (each of which the decoder
 // rejects, where the entry encodes at all) and accepts the sample
 // entries and a name of exactly maxStringLen bytes, which read back.
 func TestCheckEntryMatchesDecoder(t *testing.T) {
 	for name, e := range invalidEntries() {
-		if err := checkEntry(&e); !errors.Is(err, ErrInvalidEntry) {
-			t.Errorf("%s: checkEntry = %v, want ErrInvalidEntry", name, err)
+		if err := CheckEntry(&e); !errors.Is(err, ErrInvalidEntry) {
+			t.Errorf("%s: CheckEntry = %v, want ErrInvalidEntry", name, err)
 		}
 		if e.Rec.N > MaxReplicas {
 			continue // appendEntry would index past Rec's arrays
 		}
 		if _, err := decodeEntry(appendEntry(nil, &e)); err == nil {
-			t.Errorf("%s: decodeEntry accepted an entry checkEntry refuses", name)
+			t.Errorf("%s: decodeEntry accepted an entry CheckEntry refuses", name)
 		}
 	}
 	edge := Entry{Op: OpPlace, Name: strings.Repeat("k", maxStringLen), Rec: Rec{N: 1}}
 	for _, e := range append(sampleEntries(), edge) {
-		if err := checkEntry(&e); err != nil {
-			t.Errorf("%v: checkEntry refused a readable entry: %v", e.Op, err)
+		if err := CheckEntry(&e); err != nil {
+			t.Errorf("%v: CheckEntry refused a readable entry: %v", e.Op, err)
 		}
 		if _, err := decodeEntry(appendEntry(nil, &e)); err != nil {
 			t.Errorf("%v: decode: %v", e.Op, err)

@@ -90,7 +90,7 @@ var ErrCorrupt = errors.New("journal corrupt")
 var ErrClosed = errors.New("journal closed")
 
 // ErrInvalidEntry is wrapped by the error an append or a snapshot
-// returns for an entry the log could not read back (see checkEntry).
+// returns for an entry the log could not read back (see CheckEntry).
 // The call is refused with nothing staged or written, and the log keeps
 // taking appends: the error is not sticky.
 var ErrInvalidEntry = errors.New("invalid journal entry")
@@ -436,7 +436,7 @@ func sealFrame(dst []byte, at int) []byte {
 // write fails, the log refuses further appends. An entry the log could
 // not read back is refused with ErrInvalidEntry, which is not.
 func (l *Log) Append(e Entry) error {
-	if err := checkEntry(&e); err != nil {
+	if err := CheckEntry(&e); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -468,7 +468,7 @@ func (l *Log) Append(e Entry) error {
 // previous record).
 func (l *Log) AppendStriped(at []int, es []Entry, async bool) error {
 	for i := range es {
-		if err := checkEntry(&es[i]); err != nil {
+		if err := CheckEntry(&es[i]); err != nil {
 			return err
 		}
 	}
@@ -770,7 +770,7 @@ func (l *Log) writeSnapshot(lsn uint64, state []Entry) error {
 	buf = appendRawFrame(buf, hdr)
 	scratch := make([]byte, 0, 256)
 	for i := range state {
-		if err := checkEntry(&state[i]); err != nil {
+		if err := CheckEntry(&state[i]); err != nil {
 			return err
 		}
 		scratch = appendEntry(scratch[:0], &state[i])

@@ -165,8 +165,9 @@ func TestGeoJournalRecoveryRoundTrip(t *testing.T) {
 // TestGeoJournalRefusesUnreadableKey: on a journaled Geo, a Place or
 // PlaceBatch of a key the journal could not read back (70000 bytes,
 // past its 65536-byte string bound) fails with journal.ErrInvalidEntry
-// and is rolled back, later placements succeed, and the journal
-// recovers a router equal to the live one.
+// and is not placed, while the batch's other keys are placed, later
+// placements succeed, and the journal recovers a router equal to the
+// live one.
 func TestGeoJournalRefusesUnreadableKey(t *testing.T) {
 	g := newTestGeo(t, 8, 2, 2, 17)
 	dir := t.TempDir()
@@ -190,20 +191,24 @@ func TestGeoJournalRefusesUnreadableKey(t *testing.T) {
 	if _, err := g.Place(long); !errors.Is(err, journal.ErrInvalidEntry) {
 		t.Fatalf("Place of a %d-byte key = %v, want journal.ErrInvalidEntry", len(long), err)
 	}
-	out := make([]BatchResult, 2)
-	g.PlaceBatch([]string{"batch-ok", long}, out)
-	for i, res := range out {
-		if !errors.Is(res.Err, journal.ErrInvalidEntry) {
-			t.Fatalf("PlaceBatch result %d = %v, want journal.ErrInvalidEntry", i, res.Err)
+	batch := []string{"batch-ok", long, "batch-ok-2"}
+	out := make([]BatchResult, len(batch))
+	g.PlaceBatch(batch, out)
+	for i, k := range batch {
+		switch {
+		case k == long && !errors.Is(out[i].Err, journal.ErrInvalidEntry):
+			t.Fatalf("PlaceBatch result for the long key = %v, want journal.ErrInvalidEntry", out[i].Err)
+		case k != long && out[i].Err != nil:
+			t.Fatalf("PlaceBatch result for %q = %v, want it placed", k, out[i].Err)
+		case k != long:
+			keys[k] = true
 		}
 	}
-	if got := g.NumKeys(); got != n {
-		t.Fatalf("NumKeys = %d after the refused placements, want %d", got, n)
+	if got := g.NumKeys(); got != n+2 {
+		t.Fatalf("NumKeys = %d after the batch, want %d", got, n+2)
 	}
-	for _, k := range []string{long, "batch-ok"} {
-		if _, err := g.Locate(k); err == nil {
-			t.Fatalf("refused key %.10q... is placed", k)
-		}
+	if _, err := g.Locate(long); err == nil {
+		t.Fatal("the refused long key is placed")
 	}
 	place("after")
 	if err := g.CheckInvariants(); err != nil {

@@ -162,12 +162,21 @@ func (r *Router) begin(t *Snapshot, placing bool) commit {
 
 // place is the per-key place step: refuse a duplicate, select the record
 // from cands, then charge and store it. The caller holds the key's shard
-// lock and, with a journal attached, passes the step to journal.
+// lock and, with a journal attached, passes the step to journal. A
+// record the journal could not read back (journal.ErrInvalidEntry) is
+// refused here, before the key is charged, so it fails only its own key
+// and never the journal unit of a batch.
 func (c *commit) place(ks *keyTable, key string, h0 uint64, cands []int32) (keyRec, error) {
 	if _, dup := ks.getLocked(h0, key); dup {
 		return keyRec{}, fmt.Errorf("%s: key %q already placed", c.r.name, key)
 	}
 	rec, skipped, overshoot := c.t.choose(cands, nil, true)
+	if rec.n > 0 && c.lg != nil {
+		e := c.entry(undo{key: key, rec: rec})
+		if err := journal.CheckEntry(&e); err != nil {
+			return keyRec{}, fmt.Errorf("%s: journal: %w", c.r.name, err)
+		}
+	}
 	c.forwards += int64(skipped)
 	if rec.n == 0 {
 		c.rejects++
@@ -498,8 +507,10 @@ func (r *Router) resolveBlock(sc *batchScratch, t *Snapshot, keys []string) {
 // input order would: sticky-duplicate and bounded-load rejections land
 // in out[i].Err (rejections wrap ErrOverloaded) without failing the
 // rest of the batch, replication and draining rules match, and later
-// keys in the batch observe earlier keys' load. A journal refusal
-// rolls the whole batch back and fails every admitted key.
+// keys in the batch observe earlier keys' load. A key whose record the
+// journal could not read back fails alone with journal.ErrInvalidEntry,
+// like the other per-key rejections; any other journal refusal rolls
+// the whole batch back and fails every admitted key.
 func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 	sc := r.batchStart("PlaceBatch", keys, out)
 	if sc == nil {
