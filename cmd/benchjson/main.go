@@ -454,7 +454,7 @@ func collect() ([]result, error) {
 
 	// The parallel pipeline: PlaceBatchParallel shards the bulk-nearest
 	// phase over GOMAXPROCS workers (bit-identical results; see
-	// core/pipeline.go). The record carries the proc count in its name,
+	// core/placement.go). The record carries the proc count in its name,
 	// so baselines only gate like-for-like machines.
 	nprocsPlace := runtime.GOMAXPROCS(0)
 	recPar := run(fmt.Sprintf("torus_place_batch_parallel/n=65536/dim=2/d=2/procs=%d", nprocsPlace), n,

@@ -65,22 +65,23 @@
 //     Results are identical to per-query Nearest; with caller-owned
 //     scratch (NearestBatchInto) batches may run concurrently over one
 //     unchanging Space.
-//   - internal/core.PlaceBatch is the bulk API: it hoists the tie-break
-//     switch and stratified branch out of the per-ball loop,
-//     devirtualizes the space (structural jump-index match, concrete
-//     UniformSpace, or the BatchChooser interfaces), and reuses
-//     allocator-owned scratch for zero allocations per ball. Torus
-//     placement runs as a three-phase blocked pipeline — draw a block's
-//     variates in Place's exact order into flat buffers, resolve all
-//     d*B candidate queries through NearestBatch, then a sequential
-//     load-compare/commit loop. The tie-variate contract (one
+//   - internal/core writes the d-choice rule once, in pick; every entry
+//     point reaches it. core.PlaceBatch is the bulk API: one three-phase
+//     block pipeline for every space and configuration — draw a block's
+//     variates in Place's exact order into flat buffers, resolve the
+//     block's d*B candidate locations in bulk (jump.LocateBlock on a
+//     structurally matched jump-index space like the ring,
+//     NearestBatch on the torus; the uniform space and any other Space
+//     draw bins directly), then pick and commit ball by ball, with one
+//     branch-free pair commit for Tables 1-2's d=2 random-tie
+//     configuration. Allocator-owned scratch keeps it at zero
+//     allocations per ball. The tie-variate contract (one
 //     unconditional tie variate per candidate after the first under
-//     random ties) makes the variate schedule static, so every bulk
-//     path — the ring's blocked 32-ball lookup pipeline included — is
-//     bit-identical to sequential Place for every dim x d x tie x
-//     stratification configuration. core.PlaceBatchParallel shards the
-//     resolve phase across GOMAXPROCS workers with the same
-//     bit-identical trace.
+//     random ties) makes the variate schedule static, so the pipeline
+//     is bit-identical to sequential Place for every space, dim x d x
+//     tie x stratification configuration and capacity setting.
+//     core.PlaceBatchParallel shards the torus resolve phase across
+//     GOMAXPROCS workers with the same bit-identical trace.
 //   - internal/ring.Reseed and internal/torus.Reseed redraw an existing
 //     space in place (an O(n) counting sort on the ring), and
 //     internal/sim's *Pooled trial factories give each worker one

@@ -16,23 +16,9 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"geobalance/internal/rng"
 )
-
-// tiePick reports whether tie variate u selects the newest of `ties`
-// equally loaded candidates. The selection probability is 1/ties up to a
-// bias below 2^-62 (mulhi without rejection — exact for ties a power of
-// two), which is immeasurable at simulation scale and, unlike
-// rng.Intn's rejection loop, consumes exactly one variate no matter
-// what u is. That fixed consumption is what makes the TieRandom variate
-// schedule static (see the tie-variate contract in placement.go) and
-// therefore block-prefetchable.
-func tiePick(u uint64, ties int) bool {
-	hi, _ := bits.Mul64(u, uint64(ties))
-	return hi == 0
-}
 
 // PlaceBatchStale inserts k balls whose d choices are all evaluated
 // against the loads as of the call (stale within the batch), then
@@ -49,67 +35,14 @@ func (a *Allocator) PlaceBatchStale(k int, r *rng.Rand) ([]int, error) {
 	// Snapshot the loads; within the batch every ball sees this view.
 	stale := make([]int32, len(a.loads))
 	copy(stale, a.loads)
-	relStale := func(bin int) float64 {
-		if a.capInv == nil {
-			return float64(stale[bin])
-		}
-		return float64(stale[bin]) * a.capInv[bin]
-	}
 	bins := make([]int, k)
-	d := a.cfg.D
-	tieRand := a.cfg.Tie == TieRandom
-	for b := 0; b < k; b++ {
-		var best int
-		if a.strat != nil {
-			best = a.strat.ChooseBinIn(r, 0, d)
-		} else {
-			best = a.space.ChooseBin(r)
-		}
-		bestRel := relStale(best)
-		ties := 1
-		for j := 1; j < d; j++ {
-			var c int
-			if a.strat != nil {
-				c = a.strat.ChooseBinIn(r, j, d)
-			} else {
-				c = a.space.ChooseBin(r)
-			}
-			var u uint64
-			if tieRand {
-				u = r.Uint64() // unconditional; see the tie-variate contract
-			}
-			if c == best {
-				continue
-			}
-			rel := relStale(c)
-			switch {
-			case rel < bestRel:
-				best, bestRel, ties = c, rel, 1
-			case rel == bestRel:
-				switch a.cfg.Tie {
-				case TieRandom:
-					ties++
-					if tiePick(u, ties) {
-						best = c
-					}
-				case TieSmaller:
-					if a.space.Weight(c) < a.space.Weight(best) {
-						best = c
-					}
-				case TieLarger:
-					if a.space.Weight(c) > a.space.Weight(best) {
-						best = c
-					}
-				case TieLeft:
-					// Keep the earlier stratum.
-				}
-			}
-		}
-		bins[b] = best
+	for b := range bins {
+		cand, tu := a.drawOne(r)
+		bins[b] = a.pick(stale, cand, tu)
 	}
 	// Commit the batch.
 	for _, bin := range bins {
-		a.commit(bin)
+		a.commit(bin, 1)
 	}
 	return bins, nil
 }
@@ -144,77 +77,8 @@ func (a *Allocator) PlaceSized(size int32, r *rng.Rand) (int, error) {
 	if a.cfg.TrackBalls && size != 1 {
 		return 0, fmt.Errorf("core: sized items are incompatible with TrackBalls")
 	}
-	// Choose exactly as Place does (size 1 delegates to it outright).
-	if size == 1 {
-		return a.Place(r), nil
-	}
-	bin := a.chooseForPlacement(r)
-	a.loads[bin] += size
-	switch {
-	case a.loads[bin] > a.max:
-		a.max = a.loads[bin]
-		a.atMax = 1
-	case a.loads[bin] == a.max:
-		a.atMax++
-	}
-	a.placed++
+	cand, tu := a.drawOne(r)
+	bin := a.pick(a.loads, cand, tu)
+	a.commit(bin, size)
 	return bin, nil
-}
-
-// chooseForPlacement runs the d-choice candidate selection and
-// tie-breaking against the current loads without committing a
-// placement. Under TieRandom it draws one tie variate per candidate
-// after the first whether or not a tie occurred — the tie-variate
-// contract documented in placement.go, which every bulk path matches
-// bit for bit.
-func (a *Allocator) chooseForPlacement(r *rng.Rand) int {
-	d := a.cfg.D
-	tieRand := a.cfg.Tie == TieRandom
-	var best int
-	if a.strat != nil {
-		best = a.strat.ChooseBinIn(r, 0, d)
-	} else {
-		best = a.space.ChooseBin(r)
-	}
-	bestRel := a.relLoad(best)
-	ties := 1
-	for k := 1; k < d; k++ {
-		var c int
-		if a.strat != nil {
-			c = a.strat.ChooseBinIn(r, k, d)
-		} else {
-			c = a.space.ChooseBin(r)
-		}
-		var u uint64
-		if tieRand {
-			u = r.Uint64()
-		}
-		if c == best {
-			continue
-		}
-		rel := a.relLoad(c)
-		switch {
-		case rel < bestRel:
-			best, bestRel, ties = c, rel, 1
-		case rel == bestRel:
-			switch a.cfg.Tie {
-			case TieRandom:
-				ties++
-				if tiePick(u, ties) {
-					best = c
-				}
-			case TieSmaller:
-				if a.space.Weight(c) < a.space.Weight(best) {
-					best = c
-				}
-			case TieLarger:
-				if a.space.Weight(c) > a.space.Weight(best) {
-					best = c
-				}
-			case TieLeft:
-				// Keep the earlier stratum.
-			}
-		}
-	}
-	return best
 }

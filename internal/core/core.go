@@ -21,29 +21,26 @@
 //
 // # Fast-path architecture
 //
-// Place is exact but pays an interface dispatch per choice and
-// re-enters the tie-break switch per ball. PlaceBatch is the bulk hot
-// path: it hoists the configuration branches out of the per-ball loop
-// and devirtualizes the space — structurally (a space exposing a
-// sorted-site array plus bucket index, like ring.Space, is resolved
-// inline with zero calls per choice and, for d=2 random ties, as a
-// blocked lookup pipeline), concretely (UniformSpace, and *torus.Space
-// through the blocked bulk-nearest pipeline of pipeline.go), or via
-// the optional BatchChooser/StratifiedBatchChooser interfaces (one call
-// per ball instead of d). Candidate buffers live on the Allocator, so
-// steady-state placement performs zero heap allocations per ball.
-// PlaceBatch consumes random variates in exactly the per-ball order
-// Place does — and is therefore bit-identical to the sequential loop —
-// for EVERY configuration and space: the tie-variate contract
-// (placement.go) makes the variate schedule static, so even the
-// blocked paths prefetch a block's variates without reordering
-// anything. PlaceBatchParallel additionally shards the torus pipeline's
-// geometric queries across workers while keeping the commit loop
-// sequential, so its trace is bit-identical too. Measured effect:
-// BenchmarkTable1Ring/n=65536/d=2 drops from ~430 ns/ball (seed,
-// binary-search Locate, per-trial rebuild) to ~35 ns/ball with a
-// reused ring.Space; torus placement drops from ~285 to well under
-// 200 ns/ball at the same size.
+// The d-choice rule is written once, in pick (placement.go). Place
+// draws one ball's d candidates through the Space interface and picks.
+// PlaceBatch is the bulk hot path: one block pipeline for every space
+// and configuration draws a block of balls' variates in Place's exact
+// order, resolves the block's locations in bulk (internal/jump for a
+// space exposing a sorted-site array plus bucket index, like
+// ring.Space, matched structurally; the cell-sorted torus.NearestBatch
+// kernel for *torus.Space; the uniform space and any other Space draw
+// bins directly), then picks and commits ball by ball. Tables 1–2's
+// configuration commits through one branch-free pair loop. Scratch
+// lives on the Allocator, so steady-state placement performs zero heap
+// allocations per ball. PlaceBatch consumes random variates in exactly
+// the per-ball order Place does — and is therefore bit-identical to the
+// sequential loop — for EVERY configuration and space: the tie-variate
+// contract (placement.go) makes the variate schedule static, so the
+// pipeline prefetches a block's variates without reordering anything.
+// PlaceBatchParallel additionally shards the torus's geometric queries
+// across workers while keeping the commit loop sequential, so its trace
+// is bit-identical too. The README's Performance table tracks the
+// measured cost per ball.
 //
 // When Config.TrackBalls is set the allocator also maintains a
 // load-count histogram (loadCount[l] = number of bins with load l), so
@@ -86,41 +83,18 @@ type StratifiedSpace interface {
 	ChooseBinIn(r *rng.Rand, k, d int) int
 }
 
-// BatchChooser is a Space that can resolve one ball's d independent
-// uniform choices in a single call, drawing exactly the variates d
-// ChooseBin calls would. PlaceBatch uses it to amortize interface
-// dispatch to one call per ball. Implementations: ring.Space,
-// torus.Space, UniformSpace.
-type BatchChooser interface {
-	Space
-	// ChooseD fills dst with the bins of len(dst) independent uniform
-	// locations.
-	ChooseD(dst []int, r *rng.Rand)
-}
-
-// StratifiedBatchChooser is the stratified analogue of BatchChooser:
-// ChooseDIn fills dst[k] with a bin drawn from the kth of len(dst)
-// equal-measure strata, consuming exactly the variates len(dst)
-// ChooseBinIn calls would.
-type StratifiedBatchChooser interface {
-	StratifiedSpace
-	ChooseDIn(dst []int, r *rng.Rand)
-}
-
 // bucketSpace is the structural contract of a space whose ChooseBin is
 // "draw one uniform float64 and resolve it against sorted sites with a
 // jump index" in internal/jump's storage form — ring.Space, or any
 // space with the same shape. PlaceBatch matches it by structure (no
-// dependency on the concrete package) and runs the lookup inline,
-// eliminating even the one-call-per-ball cost of BatchChooser. Its
-// ChooseBinIn, if used, must be "locate (k+F)/d", the unit-interval
-// stratification.
+// dependency on the concrete package) and resolves a block's locations
+// in bulk. Its ChooseBinIn, if used, must be "locate (k+F)/d", the
+// unit-interval stratification.
 type bucketSpace interface {
 	Space
 	SiteBits() []uint64
 	BucketDeltas() []int16
 	Buckets() []int32
-	ArcLengths() []float64
 }
 
 // TieBreak selects among candidates that share the minimum load.
@@ -189,10 +163,9 @@ type Allocator struct {
 	balls  []int32   // bin of each live ball, when TrackBalls is set
 	capInv []float64 // inverse capacities, when SetCapacities was called
 
-	cand      []int     // scratch candidate buffer for the batch fast paths
-	ubuf      []float64 // scratch location block for the blocked pipelines
-	jbuf      []int32   // scratch bin block for the blocked pipelines
-	traw      []uint64  // scratch tie-variate block (see the tie-variate contract)
+	cand      []int32   // candidate block: d bins per ball
+	tu        []uint64  // tie-variate block: d-1 per ball (see the tie-variate contract)
+	locs      []float64 // location block of the ring and torus draws
 	loadCount []int32   // loadCount[l] = bins with load l, when TrackBalls is set
 
 	nbsc []*torus.BatchScratch // per-worker scratch for the parallel nearest phase
@@ -220,7 +193,8 @@ func New(space Space, cfg Config) (*Allocator, error) {
 		space: space,
 		cfg:   cfg,
 		loads: make([]int32, space.NumBins()),
-		cand:  make([]int, cfg.D),
+		cand:  make([]int32, cfg.D),
+		tu:    make([]uint64, cfg.D-1),
 	}
 	if cfg.TrackBalls {
 		a.loadCount = []int32{int32(space.NumBins())} // every bin starts at load 0
@@ -249,15 +223,17 @@ func describeStrat(cfg Config) string {
 
 // Place inserts one ball and returns the bin it was placed in.
 func (a *Allocator) Place(r *rng.Rand) int {
-	best := a.chooseForPlacement(r)
-	a.commit(best)
+	cand, tu := a.drawOne(r)
+	best := a.pick(a.loads, cand, tu)
+	a.commit(best, 1)
 	return best
 }
 
-// commit records one placed ball in bin, maintaining the maximum-load
-// tracker and, under TrackBalls, the ball list and load histogram.
-func (a *Allocator) commit(bin int) {
-	nl := a.loads[bin] + 1
+// commit records one placed item of the given size in bin, maintaining
+// the maximum-load tracker and, under TrackBalls (where every item is a
+// unit ball), the ball list and load histogram.
+func (a *Allocator) commit(bin int, size int32) {
+	nl := a.loads[bin] + size
 	a.loads[bin] = nl
 	switch {
 	case nl > a.max:
@@ -315,6 +291,20 @@ func (a *Allocator) DeleteRandom(r *rng.Rand) int {
 		}
 	}
 	return bin
+}
+
+// recoverMax rebuilds the maximum tracker from the loads in one pass,
+// for the pair commit, which does not maintain it per ball.
+func (a *Allocator) recoverMax() {
+	max, atMax := int32(0), int32(0)
+	for _, l := range a.loads {
+		if l > max {
+			max, atMax = l, 1
+		} else if l == max && l > 0 {
+			atMax++
+		}
+	}
+	a.max, a.atMax = max, atMax
 }
 
 // PlaceN inserts m balls sequentially. It delegates to PlaceBatch,
@@ -380,14 +370,6 @@ func (u *UniformSpace) NumBins() int { return u.n }
 // ChooseBin returns a uniformly random bin.
 func (u *UniformSpace) ChooseBin(r *rng.Rand) int { return r.Intn(u.n) }
 
-// ChooseD fills dst with len(dst) independent uniform bins. It
-// implements BatchChooser.
-func (u *UniformSpace) ChooseD(dst []int, r *rng.Rand) {
-	for i := range dst {
-		dst[i] = r.Intn(u.n)
-	}
-}
-
 // Weight returns 1/n for every bin.
 func (u *UniformSpace) Weight(int) float64 { return 1 / float64(u.n) }
 
@@ -408,13 +390,4 @@ func (u *UniformSpace) ChooseBinIn(r *rng.Rand, k, d int) int {
 		hi = lo + 1
 	}
 	return lo + r.Intn(hi-lo)
-}
-
-// ChooseDIn fills dst with one stratified ball's candidates, dst[k]
-// drawn from the kth of len(dst) blocks. It implements
-// StratifiedBatchChooser.
-func (u *UniformSpace) ChooseDIn(dst []int, r *rng.Rand) {
-	for k := range dst {
-		dst[k] = u.ChooseBinIn(r, k, len(dst))
-	}
 }

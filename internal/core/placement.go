@@ -1,21 +1,28 @@
-// The bulk placement fast path. PlaceBatch is semantically m sequential
-// Place calls, but it hoists the configuration dispatch (stratified or
-// not, tie-break rule, capacities, space kind) out of the per-ball loop
-// and devirtualizes the space:
+// The d-choice rule and the block pipeline that runs it in bulk.
 //
-//   - a bucketSpace (ring.Space, matched structurally) is resolved
-//     inline through internal/jump: zero calls and O(1) branch-free
-//     expected work per choice, with the d=2 TieRandom configuration
-//     running as a blocked lookup pipeline;
-//   - *torus.Space runs the blocked bulk-nearest pipeline of
-//     pipeline.go: variates for a block of balls are drawn ahead into
-//     flat buffers, the block's candidate queries are answered by the
-//     cell-sorted torus.NearestBatch kernel, and the load
-//     comparisons commit strictly sequentially;
-//   - *UniformSpace is handled concretely;
-//   - a BatchChooser/StratifiedBatchChooser collapses d interface calls
-//     per ball into one;
-//   - anything else falls back to the exact per-ball loop.
+// pick is the only place the rule is written: the least loaded of a
+// ball's candidates wins, a candidate equal to the current best is
+// skipped, and equal loads go to the configured tie rule. Every entry
+// point reaches it. Place, PlaceSized and PlaceBatchStale draw one ball
+// through the Space interface and pick; PlaceBatch and
+// PlaceBatchParallel run one block pipeline for every space and
+// configuration, in three phases per block:
+//
+//  1. Draw: the block's variates, in exactly the per-ball order Place
+//     consumes them. The ring and the torus draw locations (unit floats,
+//     query points) into a flat buffer; the uniform space and any other
+//     Space draw bins directly. Tie variates go to their own buffer.
+//  2. Resolve: the ring's locations are looked up in bulk through
+//     internal/jump, the torus's by the cell-sorted torus.NearestBatch
+//     kernel — sharded across workers under PlaceBatchParallel, each
+//     worker with its own torus.BatchScratch. Site geometry is immutable
+//     during a batch, so the output is independent of worker count and
+//     scheduling.
+//  3. Commit: pick and commit per ball, strictly sequentially, so every
+//     ball sees all previous placements. Tables 1–2's configuration
+//     (d = 2, random ties, no ball tracking, no capacities, a batch of
+//     at least n/4 balls) commits through one branch-free pair loop
+//     instead and recovers the maximum tracker in one pass afterwards.
 //
 // # Random-variate order and the tie-variate contract
 //
@@ -39,326 +46,74 @@
 // upfront in Place's exact order, the expensive geometric queries
 // answered in bulk (even in parallel — see PlaceBatchParallel), and the
 // buffered tie variates consumed by the sequential commit loop exactly
-// where Place would have drawn them. TestPlaceBatchMatchesPlace and
-// TestPlaceBatchTorusMatchesPlace pin the bit-exactness config by
-// config, block boundaries included.
+// where Place would have drawn them. TestPlaceBatchMatchesPlace,
+// TestPlaceBatchTorusMatchesPlace and FuzzPlacement pin the
+// bit-exactness config by config, block boundaries included.
 //
 // All scratch lives on the Allocator, so steady-state placement does
 // zero heap allocations per ball (guarded by TestPlaceBatchZeroAllocs).
 package core
 
 import (
+	"math/bits"
+	"runtime"
+	"sync"
+
 	"geobalance/internal/jump"
 	"geobalance/internal/rng"
 	"geobalance/internal/torus"
 )
 
-// blockBalls is the pipeline depth of the blocked ring d-choice loop:
-// enough lookups in flight to hide table latency, small enough that the
-// scratch stays in L1.
+// blockBalls is the pipeline block of the ring and of spaces drawn bin
+// by bin: enough lookups in flight to hide table latency, small enough
+// that the scratch stays in L1.
 const blockBalls = 32
 
-// PlaceBatch inserts m balls sequentially, bit-identical to calling
-// Place m times. m <= 0 is a no-op.
-func (a *Allocator) PlaceBatch(m int, r *rng.Rand) {
-	if m <= 0 {
-		return
-	}
-	if a.capInv == nil {
-		if bs, ok := a.space.(bucketSpace); ok {
-			a.placeBatchBucket(bs, m, r)
-			return
-		}
-		if us, ok := a.space.(*UniformSpace); ok {
-			a.placeBatchUniform(us, m, r)
-			return
-		}
-		if ts, ok := a.space.(*torus.Space); ok {
-			a.placeBatchTorus(ts, m, r, 1)
-			return
-		}
-		// The chooser paths draw one ball's d location variates before
-		// its tie-break variates. The tie-variate contract interleaves
-		// them per candidate, so the orders agree only when at most one
-		// tie draw can occur after the last location draw (d <= 2) or
-		// when the tie rule draws nothing.
-		if a.cfg.D <= 2 || a.cfg.Tie != TieRandom {
-			if a.strat != nil {
-				if sbc, ok := a.space.(StratifiedBatchChooser); ok {
-					a.placeBatchStratChooser(sbc, m, r)
-					return
-				}
-			} else if bc, ok := a.space.(BatchChooser); ok {
-				a.placeBatchChooser(bc, m, r)
-				return
-			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		a.Place(r)
-	}
+// pipeBalls is the torus pipeline block: large enough that the resolve
+// phase's cell-sorted queries stream through the grid index (and that
+// parallel shards amortize goroutine handoff), small enough that the
+// block's buffers stay cache-resident alongside the index.
+const pipeBalls = 8192
+
+// minParallelShard is the smallest per-worker query count worth a
+// goroutine handoff in the parallel resolve phase.
+const minParallelShard = 256
+
+// tiePick reports whether tie variate u selects the newest of `ties`
+// equally loaded candidates. The selection probability is 1/ties up to a
+// bias below 2^-62 (mulhi without rejection — exact for ties a power of
+// two), which is immeasurable at simulation scale and, unlike
+// rng.Intn's rejection loop, consumes exactly one variate no matter
+// what u is. That fixed consumption is what makes the TieRandom variate
+// schedule static and therefore block-prefetchable.
+func tiePick(u uint64, ties int) bool {
+	hi, _ := bits.Mul64(u, uint64(ties))
+	return hi == 0
 }
 
-// placeBatchBucket dispatches between the blocked pipeline and the
-// exact per-ball loop for bucket-indexed spaces. Both are bit-identical
-// to Place; the split is purely about cost: the blocked pipeline
-// recovers the maximum tracker with an O(n) pass and skips the
-// TrackBalls bookkeeping, so it wants a batch comparable to the bin
-// count and no ball tracking.
-func (a *Allocator) placeBatchBucket(bs bucketSpace, m int, r *rng.Rand) {
-	bits, delta := bs.SiteBits(), bs.BucketDeltas()
-	if delta != nil && a.cfg.D == 2 && a.cfg.Tie == TieRandom &&
-		!a.cfg.Stratified && !a.cfg.TrackBalls && 4*m >= len(a.loads) {
-		a.placeBatchBlocked(bits, delta, m, r)
-		return
-	}
-	a.placeBatchBucketExact(bs, m, r)
-}
-
-// placeBatchBlocked is the ring throughput loop for Tables 1 and 2's
-// configuration (d = 2, random ties). Each block draws its balls'
-// variates in Place's exact order — location, location, tie variate per
-// ball, the tie draw unconditional per the tie-variate contract —
-// resolves all lookups back to back (independent, branch-free — the
-// memory accesses overlap), then commits the block's balls strictly
-// sequentially against live loads. Placements are bit-identical to
-// Place's.
-func (a *Allocator) placeBatchBlocked(bits []uint64, delta []int16, m int, r *rng.Rand) {
-	if cap(a.ubuf) < 2*blockBalls {
-		a.ubuf = make([]float64, 2*blockBalls)
-		a.jbuf = make([]int32, 2*blockBalls)
-	}
-	if cap(a.traw) < blockBalls {
-		a.traw = make([]uint64, blockBalls)
-	}
-	loads := a.loads
-	for placed := 0; placed < m; {
-		b := blockBalls
-		if placed+b > m {
-			b = m - placed
-		}
-		ubuf := a.ubuf[0 : 2*b : 2*b]
-		jbuf := a.jbuf[0 : 2*b : 2*b]
-		traw := a.traw[0:b:b]
-		for k := 0; k < b; k++ {
-			ubuf[2*k] = r.Float64()
-			ubuf[2*k+1] = r.Float64()
-			traw[k] = r.Uint64()
-		}
-		jump.LocateBlock(bits, delta, ubuf, jbuf)
-		for k := 0; k < b; k++ {
-			j1, j2 := int(jbuf[2*k]), int(jbuf[2*k+1])
-			if j1 != j2 {
-				lb, lc := loads[j1], loads[j2]
-				if lc == lb {
-					if tiePick(traw[k], 2) {
-						j1 = j2
-					}
-				} else {
-					j1 += (j2 - j1) & int(int32(lc-lb)>>31)
-				}
-			}
-			loads[j1]++
-		}
-		placed += b
-	}
-	// Recover the maximum tracker in one sequential pass.
-	max, atMax := int32(0), int32(0)
-	for _, l := range loads {
-		if l > max {
-			max, atMax = l, 1
-		} else if l == max && l > 0 {
-			atMax++
-		}
-	}
-	a.max, a.atMax = max, atMax
-	a.placed += m
-}
-
-// placeBatchBucketExact is the per-ball loop: exact Place variate order
-// for every configuration, with the space devirtualized through
-// internal/jump.
-func (a *Allocator) placeBatchBucketExact(bs bucketSpace, m int, r *rng.Rand) {
-	bits, delta, idx := bs.SiteBits(), bs.BucketDeltas(), bs.Buckets()
-	nbf := float64(len(bits) - 1)
-	loads := a.loads
-	d := a.cfg.D
-	tie := a.cfg.Tie
-	tieRand := tie == TieRandom
-	strat := a.cfg.Stratified
-	track := a.cfg.TrackBalls
-	compact := delta != nil
-	max, atMax := a.max, a.atMax
-
-	var weights []float64
-	if tie == TieSmaller || tie == TieLarger {
-		weights = bs.ArcLengths()
-	}
-	df := float64(d)
-	for b := 0; b < m; b++ {
-		best := -1
-		bestLoad := int32(0)
-		ties := 1
-		for k := 0; k < d; k++ {
-			u := r.Float64()
-			if strat {
-				u = (float64(k) + u) / df
-				if u >= 1 { // (k+F)/d can round up to 1; wrap like Locate's frac
-					u = 0
-				}
-			}
-			var c int
-			if compact {
-				c = jump.Locate(bits, delta, nbf, u)
-			} else {
-				c = jump.LocateIdx(bits, idx, nbf, u)
-			}
-			if k == 0 {
-				best, bestLoad = c, loads[c]
-				continue
-			}
-			var tu uint64
-			if tieRand {
-				tu = r.Uint64()
-			}
-			if c == best {
-				continue
-			}
-			l := loads[c]
-			switch {
-			case l < bestLoad:
-				best, bestLoad, ties = c, l, 1
-			case l == bestLoad:
-				switch tie {
-				case TieRandom:
-					ties++
-					if tiePick(tu, ties) {
-						best = c
-					}
-				case TieSmaller:
-					if weights[c] < weights[best] {
-						best = c
-					}
-				case TieLarger:
-					if weights[c] > weights[best] {
-						best = c
-					}
-				case TieLeft:
-					// Keep the earlier stratum.
-				}
-			}
-		}
-		nl := loads[best] + 1
-		loads[best] = nl
-		if nl > max {
-			max, atMax = nl, 1
-		} else if nl == max {
-			atMax++
-		}
-		if track {
-			a.balls = append(a.balls, int32(best))
-			a.histUp(nl)
-		}
-	}
-	a.max, a.atMax = max, atMax
-	a.placed += m
-}
-
-// placeBatchUniform is the concrete loop for the classical uniform
-// space. Weight ties are no-ops (every bin weighs 1/n, so Place never
-// switches on them), which lets the loop skip weight lookups entirely
-// while preserving Place's variate order exactly.
-func (a *Allocator) placeBatchUniform(us *UniformSpace, m int, r *rng.Rand) {
-	n := us.n
-	loads := a.loads
-	d := a.cfg.D
-	tie := a.cfg.Tie
-	tieRand := tie == TieRandom
-	strat := a.cfg.Stratified
-	for b := 0; b < m; b++ {
-		var best int
-		if strat {
-			best = us.ChooseBinIn(r, 0, d)
-		} else {
-			best = r.Intn(n)
-		}
-		bestLoad := loads[best]
-		ties := 1
-		for k := 1; k < d; k++ {
-			var c int
-			if strat {
-				c = us.ChooseBinIn(r, k, d)
-			} else {
-				c = r.Intn(n)
-			}
-			var tu uint64
-			if tieRand {
-				tu = r.Uint64()
-			}
-			if c == best {
-				continue
-			}
-			l := loads[c]
-			switch {
-			case l < bestLoad:
-				best, bestLoad, ties = c, l, 1
-			case l == bestLoad && tieRand:
-				ties++
-				if tiePick(tu, ties) {
-					best = c
-				}
-			}
-		}
-		a.commit(best)
-	}
-}
-
-// placeBatchChooser runs the one-interface-call-per-ball loop. Only
-// entered when the variate order still matches Place (see PlaceBatch).
-func (a *Allocator) placeBatchChooser(bc BatchChooser, m int, r *rng.Rand) {
-	cand := a.cand[:a.cfg.D]
-	for b := 0; b < m; b++ {
-		bc.ChooseD(cand, r)
-		a.commit(a.selectCandidate(cand, r))
-	}
-}
-
-// placeBatchStratChooser is placeBatchChooser for stratified choices.
-func (a *Allocator) placeBatchStratChooser(sbc StratifiedBatchChooser, m int, r *rng.Rand) {
-	cand := a.cand[:a.cfg.D]
-	for b := 0; b < m; b++ {
-		sbc.ChooseDIn(cand, r)
-		a.commit(a.selectCandidate(cand, r))
-	}
-}
-
-// selectCandidate applies the least-loaded rule with the configured
-// tie-break to a pre-drawn candidate list, mirroring chooseForPlacement
-// (including the tie-variate contract's unconditional draws).
-func (a *Allocator) selectCandidate(cand []int, r *rng.Rand) int {
-	loads := a.loads
-	tieRand := a.cfg.Tie == TieRandom
-	best := cand[0]
-	bestLoad := loads[best]
+// pick returns the bin one ball goes to: the least loaded of its
+// candidates cand against loads (relative to capacity once
+// SetCapacities is set), with equal loads settled by the configured tie
+// rule. tu holds the ball's tie variates, tu[k-1] drawn after candidate
+// k's location; only TieRandom reads them.
+func (a *Allocator) pick(loads, cand []int32, tu []uint64) int {
+	best := int(cand[0])
+	bestRel := a.rel(loads, best)
 	ties := 1
 	for k := 1; k < len(cand); k++ {
-		c := cand[k]
-		var tu uint64
-		if tieRand {
-			tu = r.Uint64()
-		}
+		c := int(cand[k])
 		if c == best {
 			continue
 		}
-		l := loads[c]
+		rel := a.rel(loads, c)
 		switch {
-		case l < bestLoad:
-			best, bestLoad, ties = c, l, 1
-		case l == bestLoad:
+		case rel < bestRel:
+			best, bestRel, ties = c, rel, 1
+		case rel == bestRel:
 			switch a.cfg.Tie {
 			case TieRandom:
 				ties++
-				if tiePick(tu, ties) {
+				if tiePick(tu[k-1], ties) {
 					best = c
 				}
 			case TieSmaller:
@@ -375,4 +130,219 @@ func (a *Allocator) selectCandidate(cand []int, r *rng.Rand) int {
 		}
 	}
 	return best
+}
+
+// drawOne draws one ball's candidates and tie variates into the
+// allocator's scratch.
+func (a *Allocator) drawOne(r *rng.Rand) ([]int32, []uint64) {
+	d := a.cfg.D
+	cand, tu := a.cand[:d], a.tu[:d-1]
+	a.drawBins(cand, tu, r)
+	return cand, tu
+}
+
+// drawBins fills cand with len(cand)/d balls' candidate bins, drawn
+// through the Space interface (the uniform space's unstratified draw
+// inline), and tu with their tie variates, in Place's variate order.
+func (a *Allocator) drawBins(cand []int32, tu []uint64, r *rng.Rand) {
+	d := a.cfg.D
+	tieRand := a.cfg.Tie == TieRandom
+	us, _ := a.space.(*UniformSpace)
+	t := 0
+	for i := 0; i < len(cand); i += d {
+		for k := 0; k < d; k++ {
+			var c int
+			switch {
+			case a.strat != nil:
+				c = a.strat.ChooseBinIn(r, k, d)
+			case us != nil:
+				c = r.Intn(us.n)
+			default:
+				c = a.space.ChooseBin(r)
+			}
+			cand[i+k] = int32(c)
+			if tieRand && k > 0 {
+				tu[t] = r.Uint64()
+				t++
+			}
+		}
+	}
+}
+
+// drawLocs fills locs with the locations of len(locs)/(d*dim) balls,
+// dim coordinates per candidate, and tu with their tie variates, in
+// Place's variate order. A stratified candidate k takes (k+F)/d as its
+// first coordinate; wrap maps a (k+F)/d that rounds up to 1 back to 0,
+// as ring.ChooseBinIn does (torus.ChooseBinIn feeds it to the kernels
+// unwrapped, which clamp it into the last cell).
+func (a *Allocator) drawLocs(locs []float64, tu []uint64, dim int, wrap bool, r *rng.Rand) {
+	d := a.cfg.D
+	df := float64(d)
+	tieRand := a.cfg.Tie == TieRandom
+	strat := a.strat != nil
+	t := 0
+	for i := 0; i < len(locs); {
+		for k := 0; k < d; k++ {
+			u := r.Float64()
+			if strat {
+				u = (float64(k) + u) / df
+				if wrap && u >= 1 {
+					u = 0
+				}
+			}
+			locs[i] = u
+			for j := 1; j < dim; j++ {
+				locs[i+j] = r.Float64()
+			}
+			i += dim
+			if tieRand && k > 0 {
+				tu[t] = r.Uint64()
+				t++
+			}
+		}
+	}
+}
+
+// PlaceBatch inserts m balls sequentially, bit-identical to calling
+// Place m times. m <= 0 is a no-op.
+func (a *Allocator) PlaceBatch(m int, r *rng.Rand) {
+	a.placeBatch(m, 1, r)
+}
+
+// PlaceBatchParallel inserts m balls with results bit-identical to m
+// sequential Place calls — and therefore to PlaceBatch — sharding the
+// torus's nearest-site resolution across workers (<= 0 selects
+// GOMAXPROCS). Only the resolve phase runs concurrently: variate
+// drawing and the pick/commit loop stay sequential, so the placement
+// trace is independent of worker count and scheduling. Spaces without a
+// bulk-nearest phase worth sharding (the ring resolves a lookup in a
+// few nanoseconds) run the same pipeline on one goroutine.
+//
+// The Allocator itself remains single-threaded: PlaceBatchParallel may
+// not be called concurrently with any other method.
+func (a *Allocator) PlaceBatchParallel(m, workers int, r *rng.Rand) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	a.placeBatch(m, workers, r)
+}
+
+// placeBatch runs the block pipeline (see the file comment) over m
+// balls; workers > 1 shards the torus resolve phase.
+func (a *Allocator) placeBatch(m, workers int, r *rng.Rand) {
+	if m <= 0 {
+		return
+	}
+	d := a.cfg.D
+	bs, isRing := a.space.(bucketSpace)
+	ts, isTorus := a.space.(*torus.Space)
+	B, dim := blockBalls, 0 // dim 0: the draw yields bins, not locations
+	switch {
+	case isRing:
+		dim = 1
+	case isTorus:
+		B, dim = pipeBalls, ts.Dim()
+	}
+	B = min(B, m)
+	workers = max(1, min(workers, B*d/minParallelShard))
+	if cap(a.cand) < B*d {
+		a.cand = make([]int32, B*d)
+		a.tu = make([]uint64, B*(d-1))
+	}
+	if cap(a.locs) < B*d*dim {
+		a.locs = make([]float64, B*d*dim)
+	}
+	for len(a.nbsc) < workers-1 {
+		a.nbsc = append(a.nbsc, new(torus.BatchScratch))
+	}
+
+	pair := d == 2 && a.cfg.Tie == TieRandom && !a.cfg.TrackBalls &&
+		a.capInv == nil && 4*m >= len(a.loads)
+	for placed := 0; placed < m; {
+		b := min(B, m-placed)
+		cand, tu, locs := a.cand[:b*d], a.tu[:b*(d-1)], a.locs[:b*d*dim]
+		switch {
+		case isRing:
+			a.drawLocs(locs, tu, 1, true, r)
+			if delta := bs.BucketDeltas(); delta != nil {
+				jump.LocateBlock(bs.SiteBits(), delta, locs, cand)
+			} else {
+				sites, idx := bs.SiteBits(), bs.Buckets()
+				nbf := float64(len(sites) - 1)
+				for i, u := range locs {
+					cand[i] = int32(jump.LocateIdx(sites, idx, nbf, u))
+				}
+			}
+		case isTorus:
+			a.drawLocs(locs, tu, dim, false, r)
+			if workers > 1 {
+				a.resolveParallel(ts, locs, cand, dim, workers)
+			} else {
+				ts.NearestBatch(locs, cand)
+			}
+		default:
+			a.drawBins(cand, tu, r)
+		}
+		if pair {
+			pairCommit(a.loads, cand, tu)
+		} else {
+			for i, t := 0, 0; i < len(cand); i, t = i+d, t+d-1 {
+				a.commit(a.pick(a.loads, cand[i:i+d], tu[t:t+d-1]), 1)
+			}
+		}
+		placed += b
+	}
+	if pair {
+		a.recoverMax()
+		a.placed += m
+	}
+}
+
+// pairCommit is pick and commit for Tables 1–2's configuration (d = 2,
+// random ties, no ball tracking, no capacities), branch-free: the choice
+// between {lower load, tie coin} is an arithmetic select, keeping the
+// ~50/50 outcomes off the branch predictor. It maintains neither the
+// maximum tracker nor the ball count; the caller recovers both after
+// the batch.
+func pairCommit(loads, cand []int32, tu []uint64) {
+	for ball, u := range tu {
+		j1, j2 := int(cand[2*ball]), int(cand[2*ball+1])
+		if j1 != j2 {
+			diff := loads[j2] - loads[j1]
+			neg := uint32(diff) >> 31 // 1 iff loads[j2] < loads[j1]
+			var eq uint32             // 1 iff equal
+			if diff == 0 {
+				eq = 1
+			}
+			coin := uint32(u>>63) ^ 1 // tiePick(u, 2)
+			j1 += (j2 - j1) * int(neg|(eq&coin))
+		}
+		loads[j1]++
+	}
+}
+
+// resolveParallel shards one block's queries into contiguous chunks,
+// one goroutine per extra worker (the caller's goroutine takes the
+// first chunk). Chunks write disjoint ranges of out and each worker
+// uses its own BatchScratch, so the result is deterministic and
+// race-free.
+func (a *Allocator) resolveParallel(ts *torus.Space, qpts []float64, out []int32, dim, workers int) {
+	q := len(out)
+	chunk := (q + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		lo := w * chunk
+		if lo >= q {
+			break
+		}
+		hi := min(lo+chunk, q)
+		wg.Add(1)
+		go func(sc *torus.BatchScratch, lo, hi int) {
+			defer wg.Done()
+			ts.NearestBatchInto(sc, qpts[lo*dim:hi*dim], out[lo:hi])
+		}(a.nbsc[w-1], lo, hi)
+	}
+	hi := min(chunk, q)
+	ts.NearestBatch(qpts[:hi*dim], out[:hi])
+	wg.Wait()
 }

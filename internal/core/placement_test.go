@@ -39,10 +39,10 @@ func newUniformSpace(t testing.TB, n int) Space {
 
 // TestPlaceBatchMatchesPlace verifies the bit-exactness contract: for
 // every configuration, PlaceBatch must choose exactly the bins m Place
-// calls choose from the same stream. m is kept under n/4 so the ring
-// d=2 TieRandom rows exercise the exact per-ball path here; the blocked
-// ring pipeline (batch comparable to n) is pinned separately by
-// TestPlaceBatchBlockedMatchesPlace.
+// calls choose from the same stream. m is kept under n/4 so the d=2
+// TieRandom rows commit through pick here; the pair commit (a batch of
+// at least n/4) is pinned separately by TestPlaceBatchBlockedMatchesPlace
+// and TestPlaceBatchTorusMatchesPlace.
 func TestPlaceBatchMatchesPlace(t *testing.T) {
 	const n, m = 512, 100
 	type cfgCase struct {
@@ -67,10 +67,6 @@ func TestPlaceBatchMatchesPlace(t *testing.T) {
 					if sp.name == "torus" {
 						continue // torus weights need Voronoi areas; covered elsewhere
 					}
-				}
-				if sp.name == "torus" && tie == TieRandom && d > 2 {
-					// Chooser path would reorder; PlaceBatch falls back to
-					// the exact Place loop — still worth asserting.
 				}
 				for _, track := range []bool{false, true} {
 					cases = append(cases, cfgCase{
@@ -123,7 +119,8 @@ func TestPlaceBatchMatchesPlace(t *testing.T) {
 	}
 }
 
-// TestPlaceBatchCapacitated: the capacitated fallback is exact too.
+// TestPlaceBatchCapacitated: capacitated allocators run the same
+// pipeline, through pick's relative loads, and are exact too.
 func TestPlaceBatchCapacitated(t *testing.T) {
 	const n, m = 128, 400
 	caps := make([]float64, n)
@@ -155,11 +152,11 @@ func TestPlaceBatchCapacitated(t *testing.T) {
 	}
 }
 
-// TestPlaceBatchBlockedMatchesPlace: the blocked ring d=2 TieRandom
-// pipeline draws each ball's variates in Place's exact order (location,
-// location, unconditional tie variate — the tie-variate contract), so
-// even the blocked path is bit-identical to the sequential process, and
-// its O(n) maximum-tracker recovery must agree with the loads.
+// TestPlaceBatchBlockedMatchesPlace: the ring pipeline draws each
+// ball's variates in Place's exact order (location, location,
+// unconditional tie variate — the tie-variate contract), so even the
+// d=2 TieRandom pair commit is bit-identical to the sequential process,
+// and its O(n) maximum-tracker recovery must agree with the loads.
 func TestPlaceBatchBlockedMatchesPlace(t *testing.T) {
 	const n = 1 << 10
 	for trial := uint64(0); trial < 8; trial++ {
@@ -185,7 +182,7 @@ func TestPlaceBatchBlockedMatchesPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a2.PlaceBatch(n, r2) // m = n >> n/4: blocked path
+		a2.PlaceBatch(n, r2) // m = n >= n/4: the pair commit
 
 		l1, l2 := a1.Loads(), a2.Loads()
 		for i := range l1 {

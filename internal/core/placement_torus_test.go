@@ -57,7 +57,7 @@ func TestPlaceBatchTorusMatchesPlace(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 4} {
 		for _, cfg := range configs {
 			// track=true pins the full per-ball trace; track=false pins
-			// the configs that route through the fast commit loop
+			// the configs that route through the pair commit
 			// (TieRandom d=2 — Tables 1-2's production path — skips the
 			// per-ball tracker and recovers it after the batch) via
 			// final loads and trackers.
@@ -142,7 +142,7 @@ func TestPlaceBatchParallelWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestPlaceBatchParallelMaxTracker: the fast commit path recovers the
+// TestPlaceBatchParallelMaxTracker: the pair commit recovers the
 // maximum tracker after the batch; it must agree with a full scan and
 // with incremental placement before AND after the batch.
 func TestPlaceBatchParallelMaxTracker(t *testing.T) {

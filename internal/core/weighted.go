@@ -39,13 +39,13 @@ func (a *Allocator) SetCapacities(caps []float64) error {
 // Capacitated reports whether relative-load comparisons are active.
 func (a *Allocator) Capacitated() bool { return a.capInv != nil }
 
-// relLoad returns the comparison key of a bin: raw load without
+// rel returns the comparison key of a bin under loads: raw load without
 // capacities, load/capacity with.
-func (a *Allocator) relLoad(bin int) float64 {
+func (a *Allocator) rel(loads []int32, bin int) float64 {
 	if a.capInv == nil {
-		return float64(a.loads[bin])
+		return float64(loads[bin])
 	}
-	return float64(a.loads[bin]) * a.capInv[bin]
+	return float64(loads[bin]) * a.capInv[bin]
 }
 
 // MaxRelativeLoad returns the maximum of load/capacity over bins (equal
@@ -53,7 +53,7 @@ func (a *Allocator) relLoad(bin int) float64 {
 func (a *Allocator) MaxRelativeLoad() float64 {
 	var m float64
 	for i := range a.loads {
-		if v := a.relLoad(i); v > m {
+		if v := a.rel(a.loads, i); v > m {
 			m = v
 		}
 	}

@@ -158,31 +158,3 @@ func TestSortedArcsCacheInvalidation(t *testing.T) {
 		}
 	}
 }
-
-// TestChooseDMatchesChooseBin: the batch chooser draws the same bins as
-// repeated single choices from the same stream.
-func TestChooseDMatchesChooseBin(t *testing.T) {
-	sp, err := NewRandom(300, rng.New(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, r2 := rng.New(56), rng.New(56)
-	dst := make([]int, 4)
-	for i := 0; i < 500; i++ {
-		sp.ChooseD(dst, r1)
-		for k, got := range dst {
-			if want := sp.ChooseBin(r2); got != want {
-				t.Fatalf("iter %d choice %d: ChooseD %d vs ChooseBin %d", i, k, got, want)
-			}
-		}
-	}
-	r3, r4 := rng.New(57), rng.New(57)
-	for i := 0; i < 500; i++ {
-		sp.ChooseDIn(dst, r3)
-		for k, got := range dst {
-			if want := sp.ChooseBinIn(r4, k, len(dst)); got != want {
-				t.Fatalf("iter %d stratum %d: ChooseDIn %d vs ChooseBinIn %d", i, k, got, want)
-			}
-		}
-	}
-}

@@ -414,15 +414,6 @@ func (s *Space) TopArcSum(a int) float64 {
 // It implements core.Space.
 func (s *Space) ChooseBin(r *rng.Rand) int { return s.locateUnit(r.Float64()) }
 
-// ChooseD fills dst with the bins of len(dst) independent uniform
-// locations, drawing exactly the variates len(dst) ChooseBin calls
-// would. It implements core.BatchChooser.
-func (s *Space) ChooseD(dst []int, r *rng.Rand) {
-	for i := range dst {
-		dst[i] = s.locateUnit(r.Float64())
-	}
-}
-
 // ChooseBinIn draws a location uniformly from the kth of d equal strata
 // [k/d, (k+1)/d) of the ring and returns its bin. This is the stratified
 // choice generation of Vöcking's go-left variant as described in the
@@ -436,21 +427,6 @@ func (s *Space) ChooseBinIn(r *rng.Rand, k, d int) int {
 		u = 0
 	}
 	return s.locateUnit(u)
-}
-
-// ChooseDIn fills dst with one stratified ball's candidates: dst[k] is
-// drawn from the kth of len(dst) equal strata, with exactly the variate
-// consumption of len(dst) ChooseBinIn calls. It implements
-// core.StratifiedBatchChooser.
-func (s *Space) ChooseDIn(dst []int, r *rng.Rand) {
-	d := float64(len(dst))
-	for k := range dst {
-		u := (float64(k) + r.Float64()) / d
-		if u >= 1 {
-			u = 0
-		}
-		dst[k] = s.locateUnit(u)
-	}
 }
 
 // MaxArc returns the length of the longest arc.

@@ -265,8 +265,8 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 	// to back with no intervening branches, and the loads of the whole
 	// window overlap. Stage B then scans each query's staged runs with
 	// everything register-resident. Queries whose column span wraps (hy
-	// on the torus seam) and tiny grids take the unstaged slow path
-	// below — a per-mille case at production densities.
+	// on the torus seam) and tiny grids are answered whole by nearest2
+	// instead — a per-mille case at production densities.
 	const batchWindow = 64
 	var wqi [batchWindow]int32 // query index
 	var wpx, wpy [batchWindow]float64
@@ -347,52 +347,11 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 				nd++
 			}
 		}
-		// Slow path: wrapping columns or a tiny grid — assemble the
-		// split runs per query, exactly as nearest2 does.
+		// Slow path: wrapping columns or a tiny grid, answered whole by
+		// the single-query kernel.
 		for _, qi := range slow[:ns] {
-			px := pts[2*qi]
-			py := pts[2*qi+1]
-			cfx := px * gf
-			hx := int(cfx)
-			if hx >= g {
-				hx = g - 1
-			}
-			cfy := py * gf
-			hy := int(cfy)
-			if hy >= g {
-				hy = g - 1
-			}
-			fx := cfx - float64(hx)
-			fy := cfy - float64(hy)
-			mb := min(fx, 1-fx, fy, 1-fy)
-			hx += g
-			runs, nr, cells := s.buildRuns2(hx, hy)
-			v += cells
-			bestSlot := int32(-1)
-			bestD2 := math.Inf(1)
-			for t := 0; t < nr; t++ {
-				for k := runs[t][0]; k < runs[t][1]; k++ {
-					dx := geom.WrapDelta(px - xy[2*k])
-					dy := geom.WrapDelta(py - xy[2*k+1])
-					d2 := dx*dx + dy*dy
-					if d2 < bestD2 {
-						bestSlot, bestD2 = k, d2
-					} else if d2 == bestD2 && bestSlot >= 0 && perm[k] < perm[bestSlot] {
-						bestSlot = k
-					}
-				}
-			}
-			best := int32(-1)
-			if bestSlot >= 0 {
-				best = perm[bestSlot]
-			}
-			out[qi] = best
-			lower := (1 + mb) * cw
-			if best < 0 || bestD2 > lower*lower {
-				dd[nd] = bestD2
-				dq = append(dq, qi)
-				nd++
-			}
+			best, _ := s.nearest2(pts[2*qi], pts[2*qi+1], &v)
+			out[qi] = int32(best)
 		}
 	}
 	sc.dq = dq // keep length observable (and the backing array growable)
@@ -419,7 +378,7 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 		fy := cfy - float64(hy)
 		mb := min(fx, 1-fx, fy, 1-fy)
 		hxb := hx + g
-		if g >= 5 && hy >= 2 && hy <= g-3 {
+		if hy >= 2 && hy <= g-3 {
 			var b5, e5 [5]int32
 			for o := 0; o < 5; o++ {
 				rb := int(wrapRow[hxb-2+o]) + hy
@@ -448,8 +407,8 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 			out[qi] = int32(best)
 			continue
 		}
-		// Wrapping columns or a tiny grid: continue from the block
-		// result through the generic shell walk.
+		// The 5x5 column span wraps (hy next to the seam): continue
+		// from the block result through the generic shell walk.
 		best, _ := s.nearest2Tail(px, py, hxb, hy, mb, int(out[qi]), dd[i], &v, 2)
 		out[qi] = int32(best)
 	}
@@ -516,8 +475,8 @@ func rescanTies3(xyz []float64, perm []int32, px, py, pz float64, b, e []int32) 
 // register-resident leaf, and queries the (1+mb) bound cannot certify
 // are settled after the block by a flat 5x5x5 scan with the shell
 // machinery reserved for the residue. Queries on the z seam (where a
-// column's z span wraps and is not one run) and tiny grids take the
-// unstaged buildRuns3 slow path, exactly as nearest3 scans.
+// column's z span wraps and is not one run) and tiny grids are answered
+// whole by nearest3.
 func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *BatchScratch, visits *uint64) {
 	g := s.g
 	gf := float64(g)
@@ -622,59 +581,11 @@ func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *Batch
 				nd++
 			}
 		}
-		// Slow path: wrapping z columns or a tiny grid — assemble the
-		// split runs per query, exactly as nearest3 does.
+		// Slow path: wrapping z columns or a tiny grid, answered whole
+		// by the single-query kernel.
 		for _, qi := range slow[:ns] {
-			px := pts[3*qi]
-			py := pts[3*qi+1]
-			pz := pts[3*qi+2]
-			cfx := px * gf
-			hx := int(cfx)
-			if hx >= g {
-				hx = g - 1
-			}
-			cfy := py * gf
-			hy := int(cfy)
-			if hy >= g {
-				hy = g - 1
-			}
-			cfz := pz * gf
-			hz := int(cfz)
-			if hz >= g {
-				hz = g - 1
-			}
-			fx := cfx - float64(hx)
-			fy := cfy - float64(hy)
-			fz := cfz - float64(hz)
-			mb := min(fx, 1-fx, fy, 1-fy, fz, 1-fz)
-			runs, nr, cells := s.buildRuns3(hx+g, hy+g, hz)
-			v += cells
-			bestSlot := int32(-1)
-			bestD2 := math.Inf(1)
-			for t := 0; t < nr; t++ {
-				for k := runs[t][0]; k < runs[t][1]; k++ {
-					dx := geom.WrapDelta(px - xyz[3*k])
-					dy := geom.WrapDelta(py - xyz[3*k+1])
-					dz := geom.WrapDelta(pz - xyz[3*k+2])
-					d2 := dx*dx + dy*dy + dz*dz
-					if d2 < bestD2 {
-						bestSlot, bestD2 = k, d2
-					} else if d2 == bestD2 && bestSlot >= 0 && perm[k] < perm[bestSlot] {
-						bestSlot = k
-					}
-				}
-			}
-			best := int32(-1)
-			if bestSlot >= 0 {
-				best = perm[bestSlot]
-			}
-			out[qi] = best
-			lower := (1 + mb) * cw
-			if best < 0 || bestD2 > lower*lower {
-				dd[nd] = bestD2
-				dq = append(dq, qi)
-				nd++
-			}
+			best, _ := s.nearest3(pts[3*qi], pts[3*qi+1], pts[3*qi+2], &v)
+			out[qi] = int32(best)
 		}
 	}
 	sc.dq = dq // keep length observable (and the backing array growable)
@@ -708,7 +619,7 @@ func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *Batch
 		mb := min(fx, 1-fx, fy, 1-fy, fz, 1-fz)
 		hxb := hx + g
 		hyb := hy + g
-		if g >= 5 && hz >= 2 && hz <= g-3 {
+		if hz >= 2 && hz <= g-3 {
 			var b25, e25 [25]int32
 			o := 0
 			for xo := -2; xo <= 2; xo++ {
@@ -742,8 +653,8 @@ func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *Batch
 			out[qi] = int32(best)
 			continue
 		}
-		// Wrapping z columns or a tiny grid: continue from the brick
-		// result through the generic shell walk.
+		// The 5x5x5 z span wraps (hz next to the seam): continue from
+		// the brick result through the generic shell walk.
 		best, _ := s.nearest3Tail(px, py, pz, hxb, hyb, hz, mb, int(out[qi]), dd[i], &v, 2)
 		out[qi] = int32(best)
 	}

@@ -48,34 +48,6 @@ func TestReseedMatchesNewRandom(t *testing.T) {
 	}
 }
 
-// TestChooseDMatchesChooseBin: batch choosers replay single choices
-// exactly from the same stream.
-func TestChooseDMatchesChooseBin(t *testing.T) {
-	sp, err := NewRandom(400, 2, rng.New(63))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, r2 := rng.New(64), rng.New(64)
-	dst := make([]int, 3)
-	for i := 0; i < 300; i++ {
-		sp.ChooseD(dst, r1)
-		for k, got := range dst {
-			if want := sp.ChooseBin(r2); got != want {
-				t.Fatalf("iter %d choice %d: %d vs %d", i, k, got, want)
-			}
-		}
-	}
-	r3, r4 := rng.New(65), rng.New(65)
-	for i := 0; i < 300; i++ {
-		sp.ChooseDIn(dst, r3)
-		for k, got := range dst {
-			if want := sp.ChooseBinIn(r4, k, len(dst)); got != want {
-				t.Fatalf("iter %d stratum %d: %d vs %d", i, k, got, want)
-			}
-		}
-	}
-}
-
 // TestNearestIterativeHighDim: the odometer enumeration has no
 // dimension cap (the old recursive version used fixed 8-wide scratch).
 func TestNearestIterativeHighDim(t *testing.T) {
@@ -104,16 +76,10 @@ func TestChooseBinZeroAllocs(t *testing.T) {
 	}
 	r := rng.New(69)
 	sp.ChooseBin(r) // warm
-	dst := make([]int, 2)
 	if allocs := testing.AllocsPerRun(50, func() {
 		sp.ChooseBin(r)
 	}); allocs != 0 {
 		t.Fatalf("ChooseBin allocated %v times per run", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		sp.ChooseD(dst, r)
-	}); allocs != 0 {
-		t.Fatalf("ChooseD allocated %v times per run", allocs)
 	}
 }
 

@@ -132,11 +132,11 @@ func TestNearestAdversarialAgainstBrute(t *testing.T) {
 	}
 }
 
-// TestChooseDAdversarialAgainstBrute replays the batched chooser's
-// variate stream through SampleInto + NearestBrute: the bins ChooseD
-// and ChooseDIn return must be brute-force nearest sites of exactly the
-// locations the duplicated stream produces, on the same adversarial
-// layouts the kernel test uses.
+// TestChooseDAdversarialAgainstBrute replays one ball's d choices,
+// drawn by ChooseBin and by ChooseBinIn, through a duplicated variate
+// stream and SampleInto + NearestBrute: each bin must be a brute-force
+// nearest site of exactly the location the duplicated stream produces,
+// on the same adversarial layouts the kernel test uses.
 func TestChooseDAdversarialAgainstBrute(t *testing.T) {
 	r := rng.New(94)
 	sizes := map[int]int{1: 48, 2: 196, 3: 216, 4: 256}
@@ -149,31 +149,30 @@ func TestChooseDAdversarialAgainstBrute(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dst := make([]int, 3)
+				const d = 3
 				p := make(geom.Vec, dim)
 				r1, r2 := rng.New(95), rng.New(95)
 				for it := 0; it < 200; it++ {
-					sp.ChooseD(dst, r1)
-					for k, got := range dst {
+					for k := 0; k < d; k++ {
+						got := sp.ChooseBin(r1)
 						sp.SampleInto(p, r2)
 						bi, bd := sp.NearestBrute(p)
 						if got != bi && geom.TorusDist2(p, sp.Site(got)) != bd {
-							t.Fatalf("iter %d choice %d: ChooseD bin %d vs brute %d without a tie", it, k, got, bi)
+							t.Fatalf("iter %d choice %d: ChooseBin bin %d vs brute %d without a tie", it, k, got, bi)
 						}
 					}
 				}
 				r3, r4 := rng.New(96), rng.New(96)
-				d := float64(len(dst))
 				for it := 0; it < 200; it++ {
-					sp.ChooseDIn(dst, r3)
-					for k, got := range dst {
+					for k := 0; k < d; k++ {
+						got := sp.ChooseBinIn(r3, k, d)
 						p[0] = (float64(k) + r4.Float64()) / d
 						for j := 1; j < dim; j++ {
 							p[j] = r4.Float64()
 						}
 						bi, bd := sp.NearestBrute(p)
 						if got != bi && geom.TorusDist2(p, sp.Site(got)) != bd {
-							t.Fatalf("iter %d stratum %d: ChooseDIn bin %d vs brute %d without a tie", it, k, got, bi)
+							t.Fatalf("iter %d stratum %d: ChooseBinIn bin %d vs brute %d without a tie", it, k, got, bi)
 						}
 					}
 				}

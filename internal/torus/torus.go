@@ -45,7 +45,7 @@
 // previous enumeration re-scanned wrapped cells across shells once
 // 2*shell+1 reached g) and the walk terminates after g/2 shells.
 //
-// The placement hot path (ChooseBin/ChooseBinIn/ChooseD) samples into a
+// The placement hot path (ChooseBin/ChooseBinIn) samples into a
 // per-space scratch vector, so a query performs no heap allocation and
 // has no dimension cap. NearestBatch (batch.go) answers whole blocks of
 // queries through a cell-sorted bulk kernel — the engine behind core's
@@ -56,16 +56,15 @@
 // scratch.
 //
 // Concurrency: the methods that use the per-space scratch or statistics
-// counters — Nearest, Locate, ChooseBin, ChooseBinIn, ChooseD,
-// ChooseDIn, NearestBatch — and of course Reseed are NOT safe for
-// concurrent use; run placement on one Space per goroutine. The
-// read-only accessors and the methods that keep their state on the
-// stack or in caller-provided buffers — Site, Sites, Weight,
-// SampleInto, NearestBrute, WithinRadius, and NearestBatchInto with a
-// caller-owned scratch — remain safe for concurrent readers of an
-// unchanging Space (internal/voronoi's parallel workers and
-// core.PlaceBatchParallel's resolve shards depend on exactly that set;
-// extend it with care).
+// counters — Nearest, Locate, ChooseBin, ChooseBinIn, NearestBatch —
+// and of course Reseed are NOT safe for concurrent use; run placement
+// on one Space per goroutine. The read-only accessors and the methods
+// that keep their state on the stack or in caller-provided buffers —
+// Site, Sites, Weight, SampleInto, NearestBrute, WithinRadius, and
+// NearestBatchInto with a caller-owned scratch — remain safe for
+// concurrent readers of an unchanging Space (internal/voronoi's
+// parallel workers and core.PlaceBatchParallel's resolve shards depend
+// on exactly that set; extend it with care).
 package torus
 
 import (
@@ -119,7 +118,7 @@ type Space struct {
 	cellsScanned uint64
 
 	// Per-space query scratch (see the package comment on concurrency).
-	qbuf   geom.Vec      // sample point for ChooseBin/ChooseBinIn/ChooseD
+	qbuf   geom.Vec      // sample point for ChooseBin/ChooseBinIn
 	home   []int         // query cell coordinates (generic kernel)
 	offs   []int         // shell odometer (generic kernel)
 	cellOf []int32       // rebuildCells scratch
@@ -694,8 +693,8 @@ func (s *Space) nearest2(px, py float64, visits *uint64) (int, float64) {
 // 3x3 block around home cell (hx, hy) — hx biased by +g — one run per
 // row, two when the column span wraps, the whole (deduplicated) grid
 // when g <= 2. It returns the runs, their count, and the number of
-// distinct cells covered. Shared by nearest2 and the batch kernel's
-// slow path so the seam handling lives in exactly one place.
+// distinct cells covered. The batch kernel sends its seam queries to
+// nearest2 whole, so the seam handling lives in exactly one place.
 func (s *Space) buildRuns2(hx, hy int) (runs [6][2]int32, nr int, cells uint64) {
 	g := s.g
 	wrapRow := s.wrapRow
@@ -872,9 +871,9 @@ func (s *Space) nearest3(px, py, pz float64, visits *uint64) (int, float64) {
 // buildRuns3 assembles the contiguous slot runs covering the wrapped
 // 3x3x3 brick around home cell (hx, hy, hz) — hx and hy biased by +g,
 // hz unbiased — one z-column run per (x, y) row, two when the z span
-// wraps, the whole (deduplicated) grid when g <= 2. Shared by nearest3
-// and the batch kernel's slow path so the seam handling lives in
-// exactly one place.
+// wraps, the whole (deduplicated) grid when g <= 2. The batch kernel
+// sends its seam queries to nearest3 whole, so the seam handling lives
+// in exactly one place.
 func (s *Space) buildRuns3(hx, hy, hz int) (runs [18][2]int32, nr int, cells uint64) {
 	g := s.g
 	start := s.start
@@ -1024,16 +1023,6 @@ func (s *Space) ChooseBin(r *rng.Rand) int {
 	return best
 }
 
-// ChooseD fills dst with the bins of len(dst) independent uniform
-// locations, drawing exactly the variates len(dst) ChooseBin calls
-// would. It implements core.BatchChooser.
-func (s *Space) ChooseD(dst []int, r *rng.Rand) {
-	for i := range dst {
-		s.SampleInto(s.qbuf, r)
-		dst[i], _ = s.Nearest(s.qbuf)
-	}
-}
-
 // ChooseBinIn draws a location uniformly from the kth of d equal-measure
 // strata of the torus (slabs along the first axis: x0 in [k/d, (k+1)/d))
 // and returns its bin. It implements core.StratifiedSpace, extending the
@@ -1049,16 +1038,6 @@ func (s *Space) ChooseBinIn(r *rng.Rand, k, d int) int {
 	}
 	best, _ := s.Nearest(v)
 	return best
-}
-
-// ChooseDIn fills dst with one stratified ball's candidates: dst[k] is
-// drawn from the kth of len(dst) equal-measure slabs, with exactly the
-// variate consumption of len(dst) ChooseBinIn calls. It implements
-// core.StratifiedBatchChooser.
-func (s *Space) ChooseDIn(dst []int, r *rng.Rand) {
-	for k := range dst {
-		dst[k] = s.ChooseBinIn(r, k, len(dst))
-	}
 }
 
 // NearestBrute returns the nearest site by exhaustive scan. It exists for
