@@ -95,9 +95,10 @@ func BenchmarkTable2TorusDim3(b *testing.B) {
 
 // BenchmarkTable2TorusDim4 extends the sweep to the four-dimensional
 // torus: no specialized kernel exists for dim >= 4, so this family
-// perf-tracks the generic odometer path (and its batch-pipeline
-// integration) end to end. Sites are capped at 2^16 — a 2^20 generic
-// trial would dominate the CI smoke run without adding coverage.
+// perf-tracks the any-dimension kernel, nearestN and its run-based
+// shell walk (and its batch-pipeline integration), end to end. Sites
+// are capped at 2^16 — a 2^20 dim-4 trial would dominate the CI smoke
+// run without adding coverage.
 func BenchmarkTable2TorusDim4(b *testing.B) {
 	for _, n := range benchNs {
 		if n > 1<<16 {

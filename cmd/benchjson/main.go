@@ -250,8 +250,8 @@ func loadgenRecord(name string, cfg loadgen.Config) (result, error) {
 
 func collect() ([]result, error) {
 	const n = 1 << 16
-	// dim=4 runs at a quarter of the batch: the generic any-dimension
-	// kernel costs several times the specialized dims per ball, and
+	// dim=4 runs at a quarter of the batch: the any-dimension kernel
+	// (nearestN) costs several times the specialized dims per ball, and
 	// ns/ball — the gated number — is batch-size-insensitive, so the
 	// smaller run keeps the record's wall clock sane.
 	const n4 = 1 << 14
@@ -391,9 +391,9 @@ func collect() ([]result, error) {
 				a.PlaceBatch(n, r)
 			}
 		}),
-		// The generic-dimension kernel path (no specialized nearest
-		// kernel exists for dim >= 4), so the non-specialized code is
-		// perf-tracked too.
+		// The any-dimension kernel path (no specialized nearest kernel
+		// exists for dim >= 4; batches run nearestN per sorted query),
+		// so the non-specialized code is perf-tracked too.
 		runMin("torus_place_batch/n=16384/dim=4/d=2", n4, 3, func(b *testing.B) {
 			r := rng.New(8)
 			sp, err := torus.NewRandom(n4, 4, r)

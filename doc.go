@@ -51,9 +51,12 @@
 //     untouched by the permutation. Dim-specialized kernels for 2-D
 //     and 3-D unroll the wrapped distance branch-free, precompute
 //     wrapped row/plane offset tables, and fuse the first two search
-//     shells; wrapped-Chebyshev shell enumeration scans every cell at
-//     most once per query. Measured: Nearest at n=2^16 dropped from
-//     ~488 to ~119 ns (dim 2) and ~900 to ~370 ns (dim 3).
+//     shells; one shell walk (walk) scans the shells beyond as
+//     last-axis slot runs for every dimension, from the home cell on
+//     for dims other than 2 and 3. Wrapped-Chebyshev shell
+//     enumeration scans every cell at most once per query. Measured:
+//     Nearest at n=2^16 dropped from ~488 to ~119 ns (dim 2) and ~900
+//     to ~370 ns (dim 3).
 //   - internal/torus.NearestBatch is the bulk-nearest kernel behind
 //     blocked placement (mirrored by ring.NearestBatch for interface
 //     symmetry): a block's queries are counting-sorted into grid-cell
@@ -61,7 +64,9 @@
 //     the cell-CSR index the scalar kernels read, a query's fused 3x3
 //     home block staged as three row runs (nine z-column runs for the
 //     3x3x3 brick in dim 3). Uncertified queries settle through a flat
-//     5x5 scan and, in the vanishing residue, the shared shell walk.
+//     5x5 scan and, in the vanishing residue, the shared shell walk;
+//     other dimensions answer each sorted query with the scalar
+//     any-dimension kernel.
 //     Results are identical to per-query Nearest; with caller-owned
 //     scratch (NearestBatchInto) batches may run concurrently over one
 //     unchanging Space.

@@ -32,13 +32,12 @@ func (a *Allocator) PlaceBatchStale(k int, r *rng.Rand) ([]int, error) {
 	if k == 0 {
 		return nil, nil
 	}
-	// Snapshot the loads; within the batch every ball sees this view.
-	stale := make([]int32, len(a.loads))
-	copy(stale, a.loads)
+	// No commit lands until every ball has picked, so a.loads is the
+	// batch-start view every ball compares against.
 	bins := make([]int, k)
 	for b := range bins {
 		cand, tu := a.drawOne(r)
-		bins[b] = a.pick(stale, cand, tu)
+		bins[b] = a.pick(a.loads, cand, tu)
 	}
 	// Commit the batch.
 	for _, bin := range bins {

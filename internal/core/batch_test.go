@@ -56,6 +56,25 @@ func TestPlaceBatchStaleConservation(t *testing.T) {
 	}
 }
 
+// TestPlaceBatchStaleAllocs: a stale batch picks against the
+// allocator's own loads, which no commit touches until every ball has
+// picked, so the returned bins are its only allocation whatever n is.
+func TestPlaceBatchStaleAllocs(t *testing.T) {
+	sp := mustRing(t, 1<<12, 64)
+	a, err := New(sp, Config{D: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(65)
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := a.PlaceBatchStale(8, r); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("PlaceBatchStale(8) allocated %v times per call, want 1 (the returned bins)", allocs)
+	}
+}
+
 // TestBatchSizeOneMatchesSequentialStatistically: batch size 1 is the
 // sequential process; means across trials must agree closely.
 func TestBatchSizeOneMatchesSequentialStatistically(t *testing.T) {

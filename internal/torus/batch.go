@@ -19,8 +19,9 @@
 //     the scalar kernels read: a 3x3 home block is three row runs, a
 //     3x3x3 brick nine z-column runs. Queries the fused block cannot
 //     certify are deferred and settled after the window by a flat 5x5
-//     (5x5x5) scan through the same leaf, with the branchy shell
-//     machinery reserved for the vanishing residue.
+//     (5x5x5) scan through the same leaf, with the scalar kernels'
+//     shell walk (walk) reserved for the vanishing residue. Every
+//     other dimension answers each sorted query with nearestN.
 //
 // Results are identical to calling Nearest per query — exact distance
 // ties resolve to the lowest public site index through a cold re-scan,
@@ -60,8 +61,8 @@ type BatchScratch struct {
 	cnt  []int32   // counting-sort buckets
 	dq   []int32   // queries deferred to the shell walk (dim-2 kernel)
 	dd   []float64 // their block-scan best squared distances
-	home []int     // generic-kernel home cell coordinates
-	offs []int     // generic-kernel shell odometer
+	home []int     // nearestN home cell coordinates
+	offs []int     // nearestN shell odometer
 }
 
 // NearestBatch resolves len(out) nearest-site queries in one call.
@@ -93,13 +94,11 @@ func (s *Space) NearestBatchInto(sc *BatchScratch, pts []float64, out []int32) {
 	}
 	ord := s.sortByCell(sc, pts, q)
 	var visits uint64
-	switch {
-	case dim == 2:
+	switch dim {
+	case 2:
 		s.nearestBatch2(pts, out, ord, sc, &visits)
-	case dim == 3:
+	case 3:
 		s.nearestBatch3(pts, out, ord, sc, &visits)
-	case dim == 4 && s.g >= 5:
-		s.nearestBatch4(pts, out, ord, sc, &visits)
 	default:
 		if cap(sc.home) < dim {
 			sc.home = make([]int, dim)
@@ -108,7 +107,7 @@ func (s *Space) NearestBatchInto(sc *BatchScratch, pts []float64, out []int32) {
 		home, offs := sc.home[:dim], sc.offs[:dim]
 		for _, qi := range ord {
 			p := geom.Vec(pts[int(qi)*dim : (int(qi)+1)*dim])
-			best, _ := s.nearestGeneric(p, home, offs, &visits)
+			best, _ := s.nearestN(p, home, offs, &visits)
 			out[qi] = int32(best)
 		}
 	}
@@ -339,8 +338,8 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 				best = perm[bestSlot]
 			}
 			out[qi] = best
-			// Certification (the first iteration of nearest2Tail's
-			// loop): defer when a shell >= 2 could still improve.
+			// Certification (the first iteration of walk's loop from
+			// shell 2): defer when a shell >= 2 could still improve.
 			if best < 0 || bestD2 > wthr[j] {
 				dd[nd] = bestD2
 				dq = append(dq, qi)
@@ -362,8 +361,8 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 	// when even the (2+mb) certification fails (vanishingly rare at the
 	// default grid density).
 	for i, qi := range dq {
-		px := pts[2*qi]
-		py := pts[2*qi+1]
+		p := pts[2*qi : 2*qi+2]
+		px, py := p[0], p[1]
 		cfx := px * gf
 		hx := int(cfx)
 		if hx >= g {
@@ -378,6 +377,7 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 		fy := cfy - float64(hy)
 		mb := min(fx, 1-fx, fy, 1-fy)
 		hxb := hx + g
+		home := [2]int{hxb, hy + g}
 		if hy >= 2 && hy <= g-3 {
 			var b5, e5 [5]int32
 			for o := 0; o < 5; o++ {
@@ -399,17 +399,17 @@ func (s *Space) nearestBatch2(pts []float64, out []int32, ord []int32, sc *Batch
 				best = int(perm[bestSlot])
 			}
 			lower := (2 + mb) * cw
-			if (best >= 0 && bestD2 <= lower*lower) || g/2 < 3 {
+			if best >= 0 && bestD2 <= lower*lower {
 				out[qi] = int32(best)
 				continue
 			}
-			best, _ = s.nearest2Tail(px, py, hxb, hy, mb, best, bestD2, &v, 3)
+			best, _ = s.walk(p, home[:], nil, mb, 3, best, bestD2, &v)
 			out[qi] = int32(best)
 			continue
 		}
 		// The 5x5 column span wraps (hy next to the seam): continue
-		// from the block result through the generic shell walk.
-		best, _ := s.nearest2Tail(px, py, hxb, hy, mb, int(out[qi]), dd[i], &v, 2)
+		// from the block result through walk.
+		best, _ := s.walk(p, home[:], nil, mb, 2, int(out[qi]), dd[i], &v)
 		out[qi] = int32(best)
 	}
 	*visits += v
@@ -473,10 +473,9 @@ func rescanTies3(xyz []float64, perm []int32, px, py, pz float64, b, e []int32) 
 // (hx+xo, hy+yo) of the 3x3x3 brick is the contiguous CSR slot range
 // start[rb+hz-1]..start[rb+hz+2] — stage B scans them with the
 // register-resident leaf, and queries the (1+mb) bound cannot certify
-// are settled after the block by a flat 5x5x5 scan with the shell
-// machinery reserved for the residue. Queries on the z seam (where a
-// column's z span wraps and is not one run) and tiny grids are answered
-// whole by nearest3.
+// are settled after the block by a flat 5x5x5 scan with walk reserved
+// for the residue. Queries on the z seam (where a column's z span wraps
+// and is not one run) and tiny grids are answered whole by nearest3.
 func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *BatchScratch, visits *uint64) {
 	g := s.g
 	gf := float64(g)
@@ -592,12 +591,12 @@ func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *Batch
 	// Deferred pass: shell 2 and beyond. A deferred interior query scans
 	// the flat 5x5x5 block around its home cell — 25 contiguous z-column
 	// runs covering exactly the cells Nearest would have seen after its
-	// shell-2 ring — and only escalates to the shell machinery when even
-	// the (2+mb) certification fails.
+	// shell-2 ring — and only escalates to walk when even the (2+mb)
+	// certification fails.
+	var offs [1]int
 	for i, qi := range dq {
-		px := pts[3*qi]
-		py := pts[3*qi+1]
-		pz := pts[3*qi+2]
+		p := pts[3*qi : 3*qi+3]
+		px, py, pz := p[0], p[1], p[2]
 		cfx := px * gf
 		hx := int(cfx)
 		if hx >= g {
@@ -619,6 +618,7 @@ func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *Batch
 		mb := min(fx, 1-fx, fy, 1-fy, fz, 1-fz)
 		hxb := hx + g
 		hyb := hy + g
+		home := [3]int{hxb, hyb, hz + g}
 		if hz >= 2 && hz <= g-3 {
 			var b25, e25 [25]int32
 			o := 0
@@ -645,143 +645,17 @@ func (s *Space) nearestBatch3(pts []float64, out []int32, ord []int32, sc *Batch
 				best = int(perm[bestSlot])
 			}
 			lower := (2 + mb) * cw
-			if (best >= 0 && bestD2 <= lower*lower) || g/2 < 3 {
+			if best >= 0 && bestD2 <= lower*lower {
 				out[qi] = int32(best)
 				continue
 			}
-			best, _ = s.nearest3Tail(px, py, pz, hxb, hyb, hz, mb, best, bestD2, &v, 3)
+			best, _ = s.walk(p, home[:], offs[:], mb, 3, best, bestD2, &v)
 			out[qi] = int32(best)
 			continue
 		}
 		// The 5x5x5 z span wraps (hz next to the seam): continue from
-		// the brick result through the generic shell walk.
-		best, _ := s.nearest3Tail(px, py, pz, hxb, hyb, hz, mb, int(out[qi]), dd[i], &v, 2)
-		out[qi] = int32(best)
-	}
-	*visits += v
-}
-
-// scanRun4 scans one contiguous slot run with the dim-4 distance
-// unrolled and the exact lowest-public-index tie rule — the leaf of
-// nearestBatch4's row-major block scan.
-func scanRun4(soa []float64, perm []int32, px, py, pz, pw float64, b, e int32, bestSlot int32, bestD2 float64) (int32, float64) {
-	for k := b; k < e; k++ {
-		dx := geom.WrapDelta(px - soa[4*k])
-		dy := geom.WrapDelta(py - soa[4*k+1])
-		dz := geom.WrapDelta(pz - soa[4*k+2])
-		dw := geom.WrapDelta(pw - soa[4*k+3])
-		d2 := dx*dx + dy*dy + dz*dz + dw*dw
-		if d2 <= bestD2 {
-			if d2 < bestD2 || (bestSlot >= 0 && perm[k] < perm[bestSlot]) {
-				bestSlot, bestD2 = k, d2
-			}
-		}
-	}
-	return bestSlot, bestD2
-}
-
-// nearestBatch4 lifts dim 4 off the generic odometer: each cell-sorted
-// query's fused 3^4 home block is scanned as 27 row-major w-column
-// runs — the CSR order makes each (x, y, z) row's w span one or two
-// contiguous slot ranges, so the walk is flat-index adds against the
-// wrap tables with no odometer state, and consecutive sorted queries
-// hit adjacent rows. The home cell is scanned first so the mb bound
-// can retire boundary-distant queries before the block; a query even
-// the (1+mb) bound cannot certify (about e^-6 of them at the default
-// density) reruns the generic kernel, which re-derives the identical
-// certified argmin. NearestBatchInto dispatches here only for g >= 5,
-// where the wrapped offsets -1..1 and the seam splits are distinct.
-func (s *Space) nearestBatch4(pts []float64, out []int32, ord []int32, sc *BatchScratch, visits *uint64) {
-	g := s.g
-	gf := float64(g)
-	wrapRow := s.wrapRow
-	wrapPlane := s.wrapPlane
-	wrapCube := s.wrapCube
-	start := s.start
-	soa := s.soa
-	perm := s.perm
-	cw := s.cellWidth
-	if cap(sc.home) < 4 {
-		sc.home = make([]int, 4)
-		sc.offs = make([]int, 4)
-	}
-	home, offs := sc.home[:4], sc.offs[:4]
-	v := uint64(0)
-	for _, qi := range ord {
-		p := pts[4*qi : 4*qi+4]
-		px, py, pz, pw := p[0], p[1], p[2], p[3]
-		cfx := px * gf
-		hx := int(cfx)
-		if hx >= g {
-			hx = g - 1
-		}
-		cfy := py * gf
-		hy := int(cfy)
-		if hy >= g {
-			hy = g - 1
-		}
-		cfz := pz * gf
-		hz := int(cfz)
-		if hz >= g {
-			hz = g - 1
-		}
-		cfw := pw * gf
-		hw := int(cfw)
-		if hw >= g {
-			hw = g - 1
-		}
-		fx := cfx - float64(hx)
-		fy := cfy - float64(hy)
-		fz := cfz - float64(hz)
-		fw := cfw - float64(hw)
-		mb := min(fx, 1-fx, fy, 1-fy, fz, 1-fz, fw, 1-fw)
-		hxb, hyb, hzb := hx+g, hy+g, hz+g
-		// Home cell first: a boundary-distant query (mb large) whose
-		// home cell holds a close site certifies without the block.
-		hbase := int(wrapCube[hxb]) + int(wrapPlane[hyb]) + int(wrapRow[hzb]) + hw
-		bestSlot, bestD2 := scanRun4(soa, perm, px, py, pz, pw, start[hbase], start[hbase+1], -1, math.Inf(1))
-		v++
-		if bestSlot >= 0 {
-			lower := mb * cw
-			if lower > 0 && bestD2 <= lower*lower {
-				out[qi] = perm[bestSlot]
-				continue
-			}
-		}
-		// The 3^4 block as 27 w-runs, split at the torus seam. The home
-		// cell is rescanned — harmless for the exact argmin and cheaper
-		// than carving it out of its run.
-		c0, c1 := hw-1, hw+1
-		for xo := -1; xo <= 1; xo++ {
-			cb := int(wrapCube[hxb+xo])
-			for yo := -1; yo <= 1; yo++ {
-				pb := cb + int(wrapPlane[hyb+yo])
-				for zo := -1; zo <= 1; zo++ {
-					rb := pb + int(wrapRow[hzb+zo])
-					a0, a1 := c0, c1
-					if a0 < 0 {
-						bestSlot, bestD2 = scanRun4(soa, perm, px, py, pz, pw, start[rb+a0+g], start[rb+g], bestSlot, bestD2)
-						a0 = 0
-					} else if a1 >= g {
-						bestSlot, bestD2 = scanRun4(soa, perm, px, py, pz, pw, start[rb], start[rb+a1-g+1], bestSlot, bestD2)
-						a1 = g - 1
-					}
-					bestSlot, bestD2 = scanRun4(soa, perm, px, py, pz, pw, start[rb+a0], start[rb+a1+1], bestSlot, bestD2)
-				}
-			}
-		}
-		v += 27
-		if bestSlot >= 0 {
-			lower := (1 + mb) * cw
-			if bestD2 <= lower*lower {
-				out[qi] = perm[bestSlot]
-				continue
-			}
-		}
-		// Uncertified (or an empty block): the generic kernel re-derives
-		// the certified argmin from scratch, identical to sequential
-		// Nearest by construction.
-		best, _ := s.nearestGeneric(geom.Vec(p), home, offs, &v)
+		// the brick result through walk.
+		best, _ := s.walk(p, home[:], offs[:], mb, 2, int(out[qi]), dd[i], &v)
 		out[qi] = int32(best)
 	}
 	*visits += v

@@ -46,8 +46,9 @@ func TestNearestBatchAdversarialAgainstNearest(t *testing.T) {
 	r := rng.New(193)
 	sizes := map[int]int{1: 64, 2: 256, 3: 343, 4: 256}
 	// Grids below and at the staged kernels' minimum (g >= 5): dim=3
-	// g=5 and g=7 take the staged nine-column-run path, dim=4 g=4 the
-	// generic loop and g=6 the staged row-ordered kernel.
+	// g=5 and g=7 take the staged nine-column-run path; dim=4 runs
+	// nearestN per query, its walk splitting spans at the seam on g=4
+	// and g=6 alike.
 	grids := map[int][]int{1: {16}, 2: {4, 16}, 3: {4, 5, 7}, 4: {4, 6}}
 	for dim := 1; dim <= 4; dim++ {
 		for _, g := range grids[dim] {
@@ -78,7 +79,7 @@ func TestNearestBatchAdversarialAgainstNearest(t *testing.T) {
 // TestNearestBatchRandomLargeAgainstNearest runs the production-shaped
 // configuration — random sites at the default grid density, a large
 // batch — for the staged dim-2 path (interior, seam, and deferred
-// queries all occur) and the dim-3 and generic paths.
+// queries all occur), the staged dim-3 path and nearestN.
 func TestNearestBatchRandomLargeAgainstNearest(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
@@ -206,15 +207,16 @@ func TestNearestBatchTinyGrids(t *testing.T) {
 }
 
 // TestNearestBatchTiesAcrossRuns pins exact-tie resolution between the
-// slot runs the staged batch kernels scan: two sites at exactly equal
-// distance from the query, in different runs of its 3x3 home block
-// (rows in dim 2, z columns in dim 3) or of the deferred 5x5 (5x5x5)
-// block, with the higher public index in the run scanned first.
-// NearestBatch must return the lower index, as Nearest does. The query
-// is (0.5, ...) on a g=8 grid — home cell 4 on every axis, off the
-// seam — and every coordinate is dyadic, so the distances tie exactly.
-// Most cases tie before the block's last run, so a leaf that dropped
-// its tie flag between runs would return the first-scanned site.
+// slot runs the kernels scan: two sites at exactly equal distance from
+// the query, in different runs of its 3x3 home block (rows in dim 2, z
+// columns in dim 3), of the deferred 5x5 (5x5x5) block, or of walk's
+// shell 1 (dims 1 and 4), with the higher public index in the run
+// scanned first. NearestBatch must return the lower index, as Nearest
+// does. The query is (0.5, ...) on a g=8 grid — home cell 4 on every
+// axis, off the seam — and every coordinate is dyadic, so the distances
+// tie exactly. Most cases tie before the block's last run, so a leaf
+// that dropped its tie flag between runs would return the first-scanned
+// site.
 func TestNearestBatchTiesAcrossRuns(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -231,6 +233,10 @@ func TestNearestBatchTiesAcrossRuns(t *testing.T) {
 		{"dim=3/cols=(3,4),(4,3)", geom.Vec{0.375, 0.5, 0.5}, geom.Vec{0.5, 0.375, 0.5}},
 		{"dim=3/cols=(4,4),(4,5)", geom.Vec{0.5, 0.5, 0.375}, geom.Vec{0.5, 0.625, 0.5}},
 		{"dim=3/5x5x5/cols=(2,4),(4,2)", geom.Vec{0.25, 0.5, 0.5}, geom.Vec{0.5, 0.25, 0.5}},
+		// dims 1 and 4: walk's shell 1 scans offset -1 before +1, and
+		// the odometer sweeps x before the last axis.
+		{"dim=1/cells=3,5", geom.Vec{0.375}, geom.Vec{0.625}},
+		{"dim=4/rows=(3,4,4),(4,4,4)", geom.Vec{0.375, 0.5, 0.5, 0.5}, geom.Vec{0.5, 0.5, 0.5, 0.625}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

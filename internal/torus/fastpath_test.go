@@ -48,8 +48,9 @@ func TestReseedMatchesNewRandom(t *testing.T) {
 	}
 }
 
-// TestNearestIterativeHighDim: the odometer enumeration has no
-// dimension cap (the old recursive version used fixed 8-wide scratch).
+// TestNearestIterativeHighDim: walk's odometer has no dimension cap
+// (NearestShared's stack scratch covers 8 dims; Nearest's is sized to
+// the Space).
 func TestNearestIterativeHighDim(t *testing.T) {
 	const n, dim = 64, 9
 	sp, err := NewRandom(n, dim, rng.New(66))

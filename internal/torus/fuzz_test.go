@@ -9,7 +9,7 @@ import (
 
 // FuzzNearest cross-checks the grid kernels — Nearest, NearestShared,
 // and the cell-sorted NearestBatch — against NearestBrute on fuzzed
-// site layouts and queries in dimensions 1 through 4. The byte stream
+// site layouts and queries in dimensions 1 through 6. The byte stream
 // encodes the dimension, then site and query coordinates as uint16
 // fixed-point fractions, which lets the fuzzer hit duplicate
 // coordinates, exact cell boundaries, and tiny or degenerate grids
@@ -21,12 +21,12 @@ func FuzzNearest(f *testing.F) {
 	f.Add([]byte{2, 255, 255, 0, 0, 128, 0, 0, 128, 7, 7, 7, 7, 9, 9, 200, 1, 3, 3})
 	f.Add([]byte{3, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 50, 60, 70, 80, 90, 100})
 	f.Add([]byte{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150, 160, 170})
-	// Seeds big enough that gridFor picks g >= 5, so the fuzzer starts
-	// inside the staged kernels: the dim-3 nine-column-run scan needs
-	// ~46+ sites, the dim-4 row-ordered scan ~256. Coordinates come from a fixed
+	// Seeds big enough that gridFor picks g >= 5: the dim-3 staged
+	// nine-column-run scan needs ~46+ sites, and the dim-4 seed's 256
+	// sites put the walk on a 5^4 grid. Coordinates come from a fixed
 	// LCG so the corpus is deterministic.
 	for _, c := range []struct {
-		tag byte // data[0]; dim = tag%4 + 1
+		tag byte // data[0]; dim = tag%6 + 1
 		nb  int  // coordinate bytes
 	}{{2, 72*3*2 + 4*3*2}, {3, 256*4*2 + 4*4*2}} {
 		data := make([]byte, 1, 1+c.nb)
@@ -42,7 +42,7 @@ func FuzzNearest(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		dim := int(data[0])%4 + 1
+		dim := int(data[0])%6 + 1
 		data = data[1:]
 		// Decode uint16 fixed-point coordinates in [0, 1).
 		nc := len(data) / 2

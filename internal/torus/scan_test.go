@@ -2,6 +2,7 @@ package torus
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"geobalance/internal/geom"
@@ -12,7 +13,7 @@ import (
 // enumeration: on a tiny grid, where the old offset walk wrapped shell
 // offsets onto already-visited cells (and so re-scanned cells across
 // shells once 2*shell+1 reached g), a query must examine each grid cell
-// at most once — at most g^dim scanCell visits in total. The g=2 cases
+// at most once — at most g^dim cell visits in total. The g=2 cases
 // are the regression the enumeration rewrite was for: the old walk
 // visited up to 25 offsets per 2-D query against the 4 distinct cells.
 func TestTinyGridNoDuplicateCellScans(t *testing.T) {
@@ -117,5 +118,78 @@ func TestPermSlotOfInvariant(t *testing.T) {
 			}
 			sp.Reseed(r)
 		}
+	}
+}
+
+// TestWalkSparseFineGrid drives the shell walk through many shells and
+// across the seam: a few sites in the middle of the torus on grids
+// several times finer than gridFor's, queried near the seam (so every
+// query is far from every site and its last-axis spans split) and at
+// random. Nearest's distance must equal NearestBrute's, its index may
+// differ only at an exact tie, NearestShared and NearestBatch must
+// return what Nearest does, and no query may scan more than the grid's
+// g^dim cells.
+func TestWalkSparseFineGrid(t *testing.T) {
+	const n, nq = 10, 80
+	r := rng.New(98)
+	fine := map[int]int{1: 64, 2: 24, 3: 12, 4: 8, 5: 8, 6: 6} // >= 3*gridFor(n, dim)
+	for dim := 1; dim <= 6; dim++ {
+		g := fine[dim]
+		t.Run(fmt.Sprintf("dim=%d/g=%d", dim, g), func(t *testing.T) {
+			if g < 3*gridFor(n, dim) {
+				t.Fatalf("g=%d is not over-fine: gridFor gives %d", g, gridFor(n, dim))
+			}
+			sites := make([]geom.Vec, n)
+			for i := range sites {
+				v := make(geom.Vec, dim)
+				for j := range v {
+					v[j] = 0.25 + 0.5*r.Float64()
+				}
+				sites[i] = v
+			}
+			sp, err := FromSitesGrid(sites, dim, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cw := 1 / float64(g)
+			pts := make([]float64, 0, nq*dim)
+			for q := 0; q < nq; q++ {
+				for j := 0; j < dim; j++ {
+					x := r.Float64()
+					switch {
+					case q%4 == 3: // random
+					case r.Intn(2) == 0:
+						x *= cw / 2
+					default:
+						x = math.Nextafter(1-x*cw/2, 0)
+					}
+					pts = append(pts, x)
+				}
+			}
+			batch := make([]int32, nq)
+			sp.NearestBatch(pts, batch)
+			budget := uint64(pow(g, dim))
+			for q := 0; q < nq; q++ {
+				p := geom.Vec(pts[q*dim : (q+1)*dim])
+				before := sp.cellsScanned
+				gi, gd := sp.Nearest(p)
+				if visits := sp.cellsScanned - before; visits > budget {
+					t.Fatalf("query %v scanned %d cells of %d", p, visits, budget)
+				}
+				bi, bd := sp.NearestBrute(p)
+				if gd != bd {
+					t.Fatalf("query %v: Nearest (%d, %v), brute (%d, %v)", p, gi, gd, bi, bd)
+				}
+				if gi != bi && geom.TorusDist2(p, sp.Site(gi)) != bd {
+					t.Fatalf("query %v: Nearest %d, brute %d without a tie", p, gi, bi)
+				}
+				if si, sd := sp.NearestShared(p); si != gi || sd != gd {
+					t.Fatalf("query %v: NearestShared (%d, %v), Nearest (%d, %v)", p, si, sd, gi, gd)
+				}
+				if int(batch[q]) != gi {
+					t.Fatalf("query %v: NearestBatch %d, Nearest %d", p, batch[q], gi)
+				}
+			}
+		})
 	}
 }

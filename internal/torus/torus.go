@@ -38,12 +38,15 @@
 //
 // Nearest dispatches to dimension-specialized kernels for dim 2 and 3
 // (unrolled wrapped distances, modular cell arithmetic hoisted into
-// precomputed wrapped row/plane offset tables, branch-light min
-// tracking) with a generic odometer kernel for any other dimension.
-// Shells are enumerated by wrapped Chebyshev distance, so every grid
-// cell is scanned at most once per query regardless of grid size (the
-// previous enumeration re-scanned wrapped cells across shells once
-// 2*shell+1 reached g) and the walk terminates after g/2 shells.
+// precomputed wrapped row/plane offset tables, the fused 3^dim home
+// block scanned unconditionally as slot runs, branch-light min
+// tracking) and to nearestN for any other dimension. Every dimension
+// searches past its fused block in one shell walk (walk), which scans
+// each shell as last-axis slot runs of the CSR arrays: nearestN from
+// the home cell on, nearest2 and nearest3 from shell 2. Shells are
+// enumerated by wrapped Chebyshev distance, so every grid cell is
+// scanned at most once per query regardless of grid size and a walk
+// terminates after g/2 shells.
 //
 // The placement hot path (ChooseBin/ChooseBinIn) samples into a
 // per-space scratch vector, so a query performs no heap allocation and
@@ -101,13 +104,11 @@ type Space struct {
 
 	// Wrapped cell-coordinate tables, each of length 3g and indexed by
 	// a biased coordinate c+g for c in [-g, 2g): wrap[c+g] = c mod g.
-	// wrapRow, wrapPlane, and wrapCube premultiply by the axis strides
-	// g, g*g, and g*g*g so the dim-2/3/4 kernels compute flat cell
-	// indices with adds only.
-	wrap      []int32 // built for every dim (the generic kernel uses it)
-	wrapRow   []int32 // dims 2-4
-	wrapPlane []int32 // dims 3-4
-	wrapCube  []int32 // dim 4
+	// wrapRow and wrapPlane premultiply by the axis strides g and g*g so
+	// the dim-2/3 kernels compute flat cell indices with adds only.
+	wrap      []int32 // built for every dim (walk reads it)
+	wrapRow   []int32 // dims 2-3
+	wrapPlane []int32 // dim 3
 
 	// cellsScanned counts grid cells examined by nearest queries across
 	// the Space's lifetime — instrumentation for the duplicate-scan
@@ -119,8 +120,8 @@ type Space struct {
 
 	// Per-space query scratch (see the package comment on concurrency).
 	qbuf   geom.Vec      // sample point for ChooseBin/ChooseBinIn
-	home   []int         // query cell coordinates (generic kernel)
-	offs   []int         // shell odometer (generic kernel)
+	home   []int         // query cell coordinates (nearestN)
+	offs   []int         // shell odometer (nearestN)
 	cellOf []int32       // rebuildCells scratch
 	cursor []int32       // rebuildCells scratch
 	bsc    *BatchScratch // NearestBatch scratch (lazily allocated)
@@ -210,13 +211,14 @@ func (s *Space) Reseed(r *rng.Rand) {
 }
 
 // gridFor returns the default grid resolution (cells per axis) for n
-// sites in dim dimensions. The generic kernel gets about one site per
-// cell; for the dim-2/3/4 run-scanning kernels about half a site per
-// cell measures fastest (the fused 3^dim home block then holds ~4-40
-// candidates instead of ~9-81, and the extra cells cost only
-// slot-range arithmetic, not scans) — see the grid-density ablation
-// benchmark. WithSite/WithoutSite use it to decide when an incremental
-// snapshot may inherit the prior grid.
+// sites in dim dimensions: about one site per cell in general, and
+// about half a site per cell for dims 2-4 (the 3^dim block of shells 0
+// and 1 then holds ~4-40 candidates instead of ~9-81, and the extra
+// cells cost only slot-range arithmetic, not scans), which measured
+// fastest for the dim-2/3 fused-block kernels — see the grid-density
+// ablation benchmark. Dim 4 has no fused block; its density has not
+// been re-measured since it moved to nearestN. WithSite/WithoutSite use
+// it to decide when an incremental snapshot may inherit the prior grid.
 func gridFor(n, dim int) int {
 	target := float64(n)
 	if dim >= 2 && dim <= 4 {
@@ -296,8 +298,8 @@ func (s *Space) rebuildCells() {
 }
 
 // buildWrapTables (re)builds the biased modular-coordinate tables for
-// the current grid resolution. Row/plane/cube tables are only
-// materialized for the dimensions whose specialized kernels use them.
+// the current grid resolution. Row/plane tables are only materialized
+// for the dimensions whose specialized kernels use them.
 func (s *Space) buildWrapTables() {
 	g := s.g
 	if cap(s.wrap) < 3*g {
@@ -307,7 +309,7 @@ func (s *Space) buildWrapTables() {
 	for j := range s.wrap {
 		s.wrap[j] = int32(j % g)
 	}
-	if s.dim >= 2 && s.dim <= 4 {
+	if s.dim == 2 || s.dim == 3 {
 		if cap(s.wrapRow) < 3*g {
 			s.wrapRow = make([]int32, 3*g)
 		}
@@ -316,7 +318,7 @@ func (s *Space) buildWrapTables() {
 			s.wrapRow[j] = w * int32(g)
 		}
 	}
-	if s.dim == 3 || s.dim == 4 {
+	if s.dim == 3 {
 		if cap(s.wrapPlane) < 3*g {
 			s.wrapPlane = make([]int32, 3*g)
 		}
@@ -324,16 +326,6 @@ func (s *Space) buildWrapTables() {
 		g2 := int32(g) * int32(g)
 		for j, w := range s.wrap {
 			s.wrapPlane[j] = w * g2
-		}
-	}
-	if s.dim == 4 {
-		if cap(s.wrapCube) < 3*g {
-			s.wrapCube = make([]int32, 3*g)
-		}
-		s.wrapCube = s.wrapCube[:3*g]
-		g3 := int32(g) * int32(g) * int32(g)
-		for j, w := range s.wrap {
-			s.wrapCube[j] = w * g3
 		}
 	}
 }
@@ -419,9 +411,9 @@ func (s *Space) Locate(p geom.Vec) int {
 
 // Nearest returns the nearest site index and its squared distance to p.
 // It dispatches to the dimension-specialized kernels for dim 2 and 3
-// and to the generic odometer kernel otherwise; all kernels return the
-// same (index, distance) pair a brute-force scan with lowest-index tie
-// breaking would, up to ties at exactly the certification radius.
+// and to nearestN otherwise; all kernels return the same (index,
+// distance) pair a brute-force scan with lowest-index tie breaking
+// would, up to ties at exactly the certification radius.
 func (s *Space) Nearest(p geom.Vec) (int, float64) {
 	if len(p) != s.dim {
 		panic(fmt.Sprintf("torus: query dimension %d, want %d", len(p), s.dim))
@@ -435,7 +427,7 @@ func (s *Space) Nearest(p geom.Vec) (int, float64) {
 	case 3:
 		best, bestD2 = s.nearest3(p[0], p[1], p[2], &visits)
 	default:
-		best, bestD2 = s.nearestGeneric(p, s.home, s.offs, &visits)
+		best, bestD2 = s.nearestN(p, s.home, s.offs, &visits)
 	}
 	s.cellsScanned += visits
 	return best, bestD2
@@ -470,14 +462,40 @@ func (s *Space) NearestShared(p geom.Vec) (int, float64) {
 		home = make([]int, s.dim)
 		offs = make([]int, s.dim)
 	}
-	return s.nearestGeneric(p, home[:s.dim], offs[:s.dim], &visits)
+	return s.nearestN(p, home[:s.dim], offs[:s.dim], &visits)
 }
 
-// nearestGeneric is the any-dimension kernel: shells of wrapped
-// Chebyshev cell distance are walked iteratively with an odometer over
-// the space's scratch (no recursion, no allocation). Because offsets
-// are kept in the canonical wrapped range, every cell is visited at
-// most once per query and the walk ends after g/2 shells.
+// nearestN is the kernel for every dimension but 2 and 3: it locates
+// p's home cell and walks the shells from 0. Scratch (home cell
+// coordinates and the shell odometer, dim entries each) is provided by
+// the caller so concurrent batch workers do not share state; Nearest
+// passes the Space's own scratch.
+func (s *Space) nearestN(p geom.Vec, home, offs []int, visits *uint64) (int, float64) {
+	g := s.g
+	gf := float64(g)
+	mb := 0.5
+	for j, x := range p {
+		cf := x * gf
+		c := int(cf)
+		if c >= g {
+			c = g - 1
+		}
+		home[j] = c + g // biased for the wrap table
+		f := cf - float64(c)
+		mb = min(mb, f, 1-f)
+	}
+	return s.walk(p, home, offs, mb, 0, -1, math.Inf(1), visits)
+}
+
+// walk continues a nearest-site search through the shells from..g/2 of
+// wrapped Chebyshev cell distance around the query's home cell, after a
+// scan that has covered every cell at distance < from, and returns the
+// updated (best, bestD2). home holds the home cell's coordinates biased
+// by +g, mb the query's distance to the nearest home cell boundary in
+// cell units, and offs at least dim-2 entries of odometer scratch.
+// Every dimension runs it: nearestN from shell 0, nearest2 and nearest3
+// from shell 2 after their fused blocks, the batch kernels' deferred
+// passes from shell 3 after their flat radius-2 scans.
 //
 // Certification (all kernels): every unvisited cell before shell s has
 // wrapped Chebyshev cell distance >= s from the home cell, so any site
@@ -487,124 +505,123 @@ func (s *Space) NearestShared(p geom.Vec) (int, float64) {
 // bound no further shell can improve it. (The mb refinement only
 // tightens the classic (s-1)*cellWidth bound; the returned site is the
 // exact argmin either way.)
-// Scratch (home cell coordinates and the shell odometer) is provided by
-// the caller so concurrent batch workers do not share state; Nearest
-// passes the Space's own scratch.
-func (s *Space) nearestGeneric(p geom.Vec, home, offs []int, visits *uint64) (int, float64) {
+//
+// Offsets stay in the canonical wrapped range — the extremes are
+// {-shell, +shell} while 2*shell < g, and just {+shell} when 2*shell ==
+// g (the two wrap onto the same cell) — so no cell is scanned twice,
+// across shells or within one, even on tiny grids. The CSR order makes
+// a row's last-axis span of adjacent cells one slot run (two at the
+// seam), fixed per shell: a row with an extreme leading coordinate is
+// on the shell surface along its whole span and scans it, an interior
+// row only its two extreme last-axis cells. An inner loop sweeps the
+// second-to-last axis; an odometer steps the axes before it, keeping
+// their part of the row base and their count of extreme coordinates
+// up to date.
+func (s *Space) walk(p geom.Vec, home, offs []int, mb float64, from, best int, bestD2 float64, visits *uint64) (int, float64) {
 	g := s.g
-	gf := float64(g)
-	mb := 0.5
-	for j := 0; j < s.dim; j++ {
-		cf := p[j] * gf
-		c := int(cf)
-		if c >= g {
-			c = g - 1
-		}
-		home[j] = c + g // biased for the wrap table
-		f := cf - float64(c)
-		if f < mb {
-			mb = f
-		}
-		if 1-f < mb {
-			mb = 1 - f
-		}
-	}
-	best := -1
-	bestD2 := math.Inf(1)
-	sMax := g / 2
+	wrap := s.wrap
 	cw := s.cellWidth
-	for shell := 0; ; shell++ {
+	last := len(p) - 1
+	hz := home[last] // biased, like every home coordinate
+	for shell := from; shell <= g/2; shell++ {
 		if best >= 0 && shell >= 1 {
 			lower := (float64(shell-1) + mb) * cw
 			if lower > 0 && bestD2 <= lower*lower {
 				break
 			}
 		}
-		best, bestD2 = s.scanShell(p, home, offs, shell, best, bestD2, visits)
-		if shell >= sMax {
-			break // every cell has been visited exactly once
+		lo := -shell
+		if 2*shell >= g {
+			lo = 1 - shell // -shell wraps onto +shell; scan it once
+		}
+		// The last-axis span [hz+lo, hz+shell] relative to a row's cell
+		// 0: z0..z1, and w0..w1 past the seam (empty unless it wraps);
+		// zlo and zhi are its two extreme cells.
+		z0, z1 := hz-g+lo, hz-g+shell
+		w0, w1 := 0, -1
+		if z0 < 0 {
+			w0, w1, z0 = z0+g, g-1, 0
+		} else if z1 >= g {
+			w0, w1, z1 = 0, z1-g, g-1
+		}
+		zlo, zhi := int(wrap[hz-shell]), int(wrap[hz+shell])
+		if last == 0 { // dim 1: the home cell, then two cells a shell
+			if lo == -shell && shell > 0 {
+				best, bestD2 = s.scanRun(p, zlo, zlo, best, bestD2, visits)
+			}
+			best, bestD2 = s.scanRun(p, zhi, zhi, best, bestD2, visits)
+			continue
+		}
+		// rbo is the outer axes' part of the row base and nxo the number
+		// of outer coordinates at ±shell.
+		outer := offs[:last-1]
+		rbo, nxo := 0, 0
+		for j := range outer {
+			outer[j] = lo
+			rbo = (rbo + int(wrap[home[j]+lo])) * g
+			if lo == -shell {
+				nxo++
+			}
+		}
+		hy := home[last-1]
+		for {
+			for o := lo; o <= shell; o++ {
+				rb := (rbo + int(wrap[hy+o])) * g
+				if nxo > 0 || o == shell || o == -shell {
+					if w0 <= w1 {
+						best, bestD2 = s.scanRun(p, rb+w0, rb+w1, best, bestD2, visits)
+					}
+					best, bestD2 = s.scanRun(p, rb+z0, rb+z1, best, bestD2, visits)
+				} else {
+					if lo == -shell {
+						best, bestD2 = s.scanRun(p, rb+zlo, rb+zlo, best, bestD2, visits)
+					}
+					best, bestD2 = s.scanRun(p, rb+zhi, rb+zhi, best, bestD2, visits)
+				}
+			}
+			j, stride := last-2, g
+			for ; j >= 0; j-- {
+				h, o := home[j], outer[j]
+				if o < shell {
+					rbo += (int(wrap[h+o+1]) - int(wrap[h+o])) * stride
+					outer[j] = o + 1
+					if o == -shell {
+						nxo--
+					}
+					if o+1 == shell {
+						nxo++
+					}
+					break
+				}
+				rbo += (int(wrap[h+lo]) - int(wrap[h+shell])) * stride
+				outer[j] = lo
+				if lo != -shell {
+					nxo--
+				}
+				stride *= g
+			}
+			if j < 0 {
+				break
+			}
 		}
 	}
 	return best, bestD2
 }
 
-// scanShell visits all grid cells at wrapped Chebyshev offset exactly
-// shell from the (biased) home coordinates and updates the best site.
-// Offsets are restricted to the canonical wrapped range: the extremes
-// are {-shell, +shell} while 2*shell < g, and just {+shell} when
-// 2*shell == g (the two wrap onto the same cell), so no cell is ever
-// scanned twice — across shells or within one — even on tiny grids.
-// The surface of the offset hypercube is walked with the usual
-// odometer: the leading dim-1 axes sweep the canonical range, and the
-// last axis visits only its extremes unless an earlier axis is already
-// extreme.
-func (s *Space) scanShell(p geom.Vec, home, offs []int, shell, best int, bestD2 float64, visits *uint64) (int, float64) {
-	dim := s.dim
-	offs = offs[:dim]
-	if shell == 0 {
-		for j := range offs {
-			offs[j] = 0
-		}
-		return s.scanCell(p, home, offs, best, bestD2, visits)
-	}
-	lo := -shell
-	if 2*shell >= s.g {
-		lo = 1 - shell
-	}
-	for j := range offs[:dim-1] {
-		offs[j] = lo
-	}
-	for {
-		extreme := false
-		for _, o := range offs[:dim-1] {
-			if o == shell || o == -shell {
-				extreme = true
-				break
-			}
-		}
-		if extreme {
-			for o := lo; o <= shell; o++ {
-				offs[dim-1] = o
-				best, bestD2 = s.scanCell(p, home, offs, best, bestD2, visits)
-			}
-		} else {
-			if lo == -shell {
-				offs[dim-1] = -shell
-				best, bestD2 = s.scanCell(p, home, offs, best, bestD2, visits)
-			}
-			offs[dim-1] = shell
-			best, bestD2 = s.scanCell(p, home, offs, best, bestD2, visits)
-		}
-		// Advance the leading dim-1 axes.
-		j := dim - 2
-		for ; j >= 0; j-- {
-			offs[j]++
-			if offs[j] <= shell {
-				break
-			}
-			offs[j] = lo
-		}
-		if j < 0 {
-			return best, bestD2
-		}
-	}
-}
-
-// scanCell scans the SoA slots of the grid cell at home+offs (wrapped).
-func (s *Space) scanCell(p geom.Vec, home, offs []int, best int, bestD2 float64, visits *uint64) (int, float64) {
-	*visits++
-	dim := s.dim
-	wrap := s.wrap
-	idx := 0
-	for j := 0; j < dim; j++ {
-		idx = idx*s.g + int(wrap[home[j]+offs[j]])
-	}
+// scanRun scans the slots of the adjacent cells [idx0, idx1], one CSR
+// run, and returns the updated (best, bestD2): a nearer site wins, and
+// an exactly tied one when its public index is lower. The distance sums
+// the axes in order, as geom.TorusDist2 does.
+func (s *Space) scanRun(p geom.Vec, idx0, idx1 int, best int, bestD2 float64, visits *uint64) (int, float64) {
+	*visits += uint64(idx1 - idx0 + 1)
 	soa := s.soa
 	perm := s.perm
-	for k := s.start[idx]; k < s.start[idx+1]; k++ {
+	k0, k1 := s.start[idx0], s.start[idx1+1]
+	dim := len(p)
+	for k := k0; k < k1; k++ {
 		var d2 float64
-		for j := 0; j < dim; j++ {
-			d := geom.WrapDelta(p[j] - soa[int(k)*dim+j])
+		for j, x := range p {
+			d := geom.WrapDelta(x - soa[int(k)*dim+j])
 			d2 += d * d
 		}
 		if d2 <= bestD2 {
@@ -639,7 +656,7 @@ func (s *Space) nearest2(px, py float64, visits *uint64) (int, float64) {
 		hy = g - 1
 	}
 	// mb: distance from p to the nearest home cell boundary, in cell
-	// units (see nearestGeneric's certification comment). The min
+	// units (see walk's certification comment). The min
 	// builtin keeps it branch-free — each comparison is a coin flip.
 	fx := cfx - float64(hx)
 	fy := cfy - float64(hy)
@@ -680,13 +697,15 @@ func (s *Space) nearest2(px, py float64, visits *uint64) (int, float64) {
 		best = int(perm[bestSlot])
 		// Fast certification for the common case: the fused block
 		// already proves no shell >= 2 can improve on the best (the
-		// first iteration of nearest2Tail's loop).
+		// first iteration of walk's loop).
 		lower := (1 + mb) * s.cellWidth
 		if bestD2 <= lower*lower {
 			return best, bestD2
 		}
 	}
-	return s.nearest2Tail(px, py, hx, hy, mb, best, bestD2, visits, 2)
+	p := [2]float64{px, py}
+	home := [2]int{hx, hy + g}
+	return s.walk(p[:], home[:], nil, mb, 2, best, bestD2, visits)
 }
 
 // buildRuns2 assembles the contiguous slot runs covering the wrapped
@@ -723,95 +742,11 @@ func (s *Space) buildRuns2(hx, hy int) (runs [6][2]int32, nr int, cells uint64) 
 	return runs, nr, uint64((r1 - r0 + 1) * (c1 - c0 + 1))
 }
 
-// nearest2Tail walks shells startShell.. for the dim=2 kernels,
-// continuing from a scan that has already covered every cell at wrapped
-// Chebyshev distance < startShell. hx is already biased by +g; mb is
-// the query's distance to its nearest home cell boundary in cell units.
-// Shared by nearest2 (startShell 2, after the fused block) and the
-// batch kernel (startShell 3, after its flat 5x5 scan) so the shell
-// enumeration and certification live in exactly one place.
-func (s *Space) nearest2Tail(px, py float64, hx, hy int, mb float64, best int, bestD2 float64, visits *uint64, startShell int) (int, float64) {
-	g := s.g
-	sMax := g / 2
-	if sMax < startShell {
-		return best, bestD2 // the prior scan covered the whole grid
-	}
-	wrap := s.wrap
-	wrapRow := s.wrapRow
-	cw := s.cellWidth
-	for shell := startShell; ; shell++ {
-		if best >= 0 {
-			lower := (float64(shell-1) + mb) * cw
-			if bestD2 <= lower*lower {
-				break
-			}
-		}
-		lo := -shell
-		if 2*shell >= g {
-			lo = 1 - shell // -shell wraps onto +shell; scan it once
-		}
-		// Rows at wrapped distance exactly shell: full column span.
-		best, bestD2 = s.scanRow2(int(wrapRow[hx+shell]), hy+lo, hy+shell, px, py, best, bestD2, visits)
-		if lo == -shell {
-			best, bestD2 = s.scanRow2(int(wrapRow[hx-shell]), hy+lo, hy+shell, px, py, best, bestD2, visits)
-		}
-		// Interior rows: only the extreme columns.
-		cHi := int(wrap[hy+shell+g])
-		cLo := int(wrap[hy-shell+g])
-		for ro := 1 - shell; ro <= shell-1; ro++ {
-			rb := int(wrapRow[hx+ro])
-			best, bestD2 = s.scanRun2(rb+cHi, rb+cHi, px, py, best, bestD2, visits)
-			if lo == -shell {
-				best, bestD2 = s.scanRun2(rb+cLo, rb+cLo, px, py, best, bestD2, visits)
-			}
-		}
-		if shell >= sMax {
-			break
-		}
-	}
-	return best, bestD2
-}
-
-// scanRow2 scans columns [c0, c1] (unwrapped, c1-c0+1 <= g) of the row
-// with flat base rb, splitting at the wraparound boundary into at most
-// two contiguous runs.
-func (s *Space) scanRow2(rb, c0, c1 int, px, py float64, best int, bestD2 float64, visits *uint64) (int, float64) {
-	g := s.g
-	if c0 < 0 {
-		best, bestD2 = s.scanRun2(rb+c0+g, rb+g-1, px, py, best, bestD2, visits)
-		c0 = 0
-	} else if c1 >= g {
-		best, bestD2 = s.scanRun2(rb, rb+c1-g, px, py, best, bestD2, visits)
-		c1 = g - 1
-	}
-	return s.scanRun2(rb+c0, rb+c1, px, py, best, bestD2, visits)
-}
-
-// scanRun2 scans the contiguous SoA slot range covering the adjacent
-// cells [idx0, idx1] with the dim=2 distance unrolled.
-func (s *Space) scanRun2(idx0, idx1 int, px, py float64, best int, bestD2 float64, visits *uint64) (int, float64) {
-	*visits += uint64(idx1 - idx0 + 1)
-	xy := s.soa
-	perm := s.perm
-	for k := s.start[idx0]; k < s.start[idx1+1]; k++ {
-		dx := geom.WrapDelta(px - xy[2*k])
-		dy := geom.WrapDelta(py - xy[2*k+1])
-		d2 := dx*dx + dy*dy
-		if d2 <= bestD2 {
-			pk := int(perm[k])
-			if d2 < bestD2 || pk < best {
-				best, bestD2 = pk, d2
-			}
-		}
-	}
-	return best, bestD2
-}
-
 // nearest3 is the dim=3 kernel, shaped like nearest2: the fused 3x3x3
 // home brick is scanned unconditionally (nine z-column runs whose
 // bounds are gathered up front), the (1+mb) certification settles the
-// common case, and only the rare uncertified query continues into the
-// branchy shell machinery of nearest3Tail.
+// common case, and only the rare uncertified query continues into walk
+// from shell 2.
 func (s *Space) nearest3(px, py, pz float64, visits *uint64) (int, float64) {
 	g := s.g
 	gf := float64(g)
@@ -865,7 +800,10 @@ func (s *Space) nearest3(px, py, pz float64, visits *uint64) (int, float64) {
 			return best, bestD2
 		}
 	}
-	return s.nearest3Tail(px, py, pz, hx, hy, hz, mb, best, bestD2, visits, 2)
+	p := [3]float64{px, py, pz}
+	home := [3]int{hx, hy, hz + g}
+	var offs [1]int
+	return s.walk(p[:], home[:], offs[:], mb, 2, best, bestD2, visits)
 }
 
 // buildRuns3 assembles the contiguous slot runs covering the wrapped
@@ -904,114 +842,6 @@ func (s *Space) buildRuns3(hx, hy, hz int) (runs [18][2]int32, nr int, cells uin
 		}
 	}
 	return runs, nr, 27
-}
-
-// nearest3Tail walks shells startShell.. for the dim=3 kernels,
-// continuing from a scan that has already covered every cell at wrapped
-// Chebyshev distance < startShell. hx and hy are already biased by +g;
-// mb is the query's distance to its nearest home cell boundary in cell
-// units. The two extreme planes of a shell scan their full y/z block
-// (each y row one or two contiguous z runs), interior planes scan their
-// extreme rows as z runs and only the extreme z columns of interior
-// rows. Shared by nearest3 (startShell 2, after the fused brick) and
-// the batch kernel (startShell 3, after its flat 5x5x5 scan) so the
-// shell enumeration and certification live in exactly one place.
-func (s *Space) nearest3Tail(px, py, pz float64, hx, hy, hz int, mb float64, best int, bestD2 float64, visits *uint64, startShell int) (int, float64) {
-	g := s.g
-	sMax := g / 2
-	if sMax < startShell {
-		return best, bestD2 // the prior scan covered the whole grid
-	}
-	wrap := s.wrap
-	wrapRow := s.wrapRow
-	wrapPlane := s.wrapPlane
-	cw := s.cellWidth
-	for shell := startShell; ; shell++ {
-		if best >= 0 {
-			lower := (float64(shell-1) + mb) * cw
-			if bestD2 <= lower*lower {
-				break
-			}
-		}
-		lo := -shell
-		if 2*shell >= g {
-			lo = 1 - shell // -shell wraps onto +shell; scan it once
-		}
-		// Planes at wrapped x-distance exactly shell: full y/z block.
-		pb := int(wrapPlane[hx+shell])
-		for yo := lo; yo <= shell; yo++ {
-			rb := pb + int(wrapRow[hy+yo])
-			best, bestD2 = s.scanRow3(rb, hz+lo, hz+shell, px, py, pz, best, bestD2, visits)
-		}
-		if lo == -shell {
-			pb = int(wrapPlane[hx-shell])
-			for yo := lo; yo <= shell; yo++ {
-				rb := pb + int(wrapRow[hy+yo])
-				best, bestD2 = s.scanRow3(rb, hz+lo, hz+shell, px, py, pz, best, bestD2, visits)
-			}
-		}
-		// Interior planes.
-		zHi := int(wrap[hz+shell+g])
-		zLo := int(wrap[hz-shell+g])
-		for xo := 1 - shell; xo <= shell-1; xo++ {
-			pb = int(wrapPlane[hx+xo])
-			// Extreme rows: full z span.
-			rb := pb + int(wrapRow[hy+shell])
-			best, bestD2 = s.scanRow3(rb, hz+lo, hz+shell, px, py, pz, best, bestD2, visits)
-			if lo == -shell {
-				rb = pb + int(wrapRow[hy-shell])
-				best, bestD2 = s.scanRow3(rb, hz+lo, hz+shell, px, py, pz, best, bestD2, visits)
-			}
-			// Interior rows: extreme z columns only.
-			for yo := 1 - shell; yo <= shell-1; yo++ {
-				rb = pb + int(wrapRow[hy+yo])
-				best, bestD2 = s.scanRun3(rb+zHi, rb+zHi, px, py, pz, best, bestD2, visits)
-				if lo == -shell {
-					best, bestD2 = s.scanRun3(rb+zLo, rb+zLo, px, py, pz, best, bestD2, visits)
-				}
-			}
-		}
-		if shell >= sMax {
-			break
-		}
-	}
-	return best, bestD2
-}
-
-// scanRow3 scans z columns [c0, c1] (unwrapped, c1-c0+1 <= g) of the
-// row with flat base rb, splitting at the wraparound boundary into at
-// most two contiguous runs.
-func (s *Space) scanRow3(rb, c0, c1 int, px, py, pz float64, best int, bestD2 float64, visits *uint64) (int, float64) {
-	g := s.g
-	if c0 < 0 {
-		best, bestD2 = s.scanRun3(rb+c0+g, rb+g-1, px, py, pz, best, bestD2, visits)
-		c0 = 0
-	} else if c1 >= g {
-		best, bestD2 = s.scanRun3(rb, rb+c1-g, px, py, pz, best, bestD2, visits)
-		c1 = g - 1
-	}
-	return s.scanRun3(rb+c0, rb+c1, px, py, pz, best, bestD2, visits)
-}
-
-// scanRun3 scans the contiguous SoA slot range covering the adjacent
-// cells [idx0, idx1] with the dim=3 distance unrolled.
-func (s *Space) scanRun3(idx0, idx1 int, px, py, pz float64, best int, bestD2 float64, visits *uint64) (int, float64) {
-	*visits += uint64(idx1 - idx0 + 1)
-	xyz := s.soa
-	perm := s.perm
-	for k := s.start[idx0]; k < s.start[idx1+1]; k++ {
-		dx := geom.WrapDelta(px - xyz[3*k])
-		dy := geom.WrapDelta(py - xyz[3*k+1])
-		dz := geom.WrapDelta(pz - xyz[3*k+2])
-		d2 := dx*dx + dy*dy + dz*dz
-		if d2 <= bestD2 {
-			pk := int(perm[k])
-			if d2 < bestD2 || pk < best {
-				best, bestD2 = pk, d2
-			}
-		}
-	}
-	return best, bestD2
 }
 
 // ChooseBin draws a uniform location on the torus (into the per-space
