@@ -20,6 +20,7 @@ import (
 	"geobalance/internal/queueing"
 	"geobalance/internal/ring"
 	"geobalance/internal/rng"
+	"geobalance/internal/router"
 	"geobalance/internal/sim"
 	"geobalance/internal/stats"
 	"geobalance/internal/tailbound"
@@ -442,6 +443,40 @@ func BenchmarkHashRingPlace(b *testing.B) {
 			b.ReportMetric(float64(hr.MaxLoad())/(float64(b.N)/1024), "maxload_over_mean")
 		})
 	}
+}
+
+// BenchmarkRingBuild times a cold start: hashring.New over 1024
+// servers, then a PlaceBatch preload of 2^18 keys in 4096-key calls —
+// perfbench ring-read's timed set-up at a quarter of its keys. ns/key
+// divides the whole build, the ring's included, by the keys placed.
+func BenchmarkRingBuild(b *testing.B) {
+	const nkeys, block = 1 << 18, 4096
+	servers := make([]string, 1024)
+	for i := range servers {
+		servers[i] = fmt.Sprintf("server-%d", i)
+	}
+	keys := make([]string, nkeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	out := make([]router.BatchResult, block)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hr, err := hashring.New(servers, hashring.WithChoices(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for at := 0; at < nkeys; at += block {
+			hr.PlaceBatch(keys[at:at+block], out)
+			for j := range out {
+				if out[j].Err != nil {
+					b.Fatal(out[j].Err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nkeys, "ns/key")
 }
 
 // --- E-HRP: concurrent hashring router under parallel load ---

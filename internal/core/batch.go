@@ -32,34 +32,39 @@ func (a *Allocator) PlaceBatchStale(k int, r *rng.Rand) ([]int, error) {
 	if k == 0 {
 		return nil, nil
 	}
-	// No commit lands until every ball has picked, so a.loads is the
-	// batch-start view every ball compares against.
 	bins := make([]int, k)
+	a.placeStale(bins, r)
+	return bins, nil
+}
+
+// placeStale is one stale batch of len(bins) balls: each picks into
+// bins, then the batch commits. No commit lands until every ball has
+// picked, so a.loads is the batch-start view every ball compares
+// against.
+func (a *Allocator) placeStale(bins []int, r *rng.Rand) {
 	for b := range bins {
 		cand, tu := a.drawOne(r)
 		bins[b] = a.pick(a.loads, cand, tu)
 	}
-	// Commit the batch.
 	for _, bin := range bins {
 		a.commit(bin, 1)
 	}
-	return bins, nil
 }
 
 // PlaceNBatched inserts m balls in batches of the given size, modelling
 // m concurrent clients with a staleness window of batchSize inserts.
+// The batches pick into the allocator's scratch, so once it has grown
+// to the batch size no call allocates.
 func (a *Allocator) PlaceNBatched(m, batchSize int, r *rng.Rand) error {
 	if batchSize < 1 {
 		return fmt.Errorf("core: batch size %d < 1", batchSize)
 	}
 	for placed := 0; placed < m; {
-		k := batchSize
-		if placed+k > m {
-			k = m - placed
+		k := min(batchSize, m-placed)
+		if cap(a.stale) < k {
+			a.stale = make([]int, k)
 		}
-		if _, err := a.PlaceBatchStale(k, r); err != nil {
-			return err
-		}
+		a.placeStale(a.stale[:k], r)
 		placed += k
 	}
 	return nil

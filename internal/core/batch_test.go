@@ -75,6 +75,25 @@ func TestPlaceBatchStaleAllocs(t *testing.T) {
 	}
 }
 
+// TestPlaceNBatchedAllocs: PlaceNBatched picks into the allocator's
+// scratch, so after a first call has grown it no batch allocates, even
+// at batch size 1.
+func TestPlaceNBatchedAllocs(t *testing.T) {
+	sp := mustRing(t, 1<<12, 66)
+	a, err := New(sp, Config{D: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(67)
+	if allocs := testing.AllocsPerRun(5, func() {
+		if err := a.PlaceNBatched(4096, 1, r); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("PlaceNBatched(4096, 1) allocated %v times per call, want 0", allocs)
+	}
+}
+
 // TestBatchSizeOneMatchesSequentialStatistically: batch size 1 is the
 // sequential process; means across trials must agree closely.
 func TestBatchSizeOneMatchesSequentialStatistically(t *testing.T) {

@@ -167,6 +167,7 @@ type Allocator struct {
 	tu        []uint64  // tie-variate block: d-1 per ball (see the tie-variate contract)
 	locs      []float64 // location block of the ring and torus draws
 	loadCount []int32   // loadCount[l] = bins with load l, when TrackBalls is set
+	stale     []int     // PlaceNBatched's batch of picked bins
 
 	nbsc []*torus.BatchScratch // per-worker scratch for the parallel nearest phase
 }

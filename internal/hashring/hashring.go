@@ -36,12 +36,15 @@
 // can never observe a half-applied membership change and takes no lock
 // on the topology. Membership ops (AddServer, RemoveServer,
 // SetCapacity) serialize on a writer mutex, copy-on-write a new
-// snapshot, and publish it atomically.
+// snapshot, and publish it atomically; New adds its whole server list
+// in one such transaction, so it clones the snapshot and sorts the
+// ring once, not once per server.
 //
 // Per-server load is one counter per server slot, on its own cache
 // line and carried by pointer across snapshots; Place/Remove add to it
 // atomically. Key records live in 64 hash-sharded key tables, so
-// writers on different keys rarely contend, and Locate, LocateAny,
+// writers on different keys rarely contend; a table's entries sit in
+// pages that its growth appends to and never copies. Locate, LocateAny,
 // Owners and LocateBatch read a table without its lock: they check the
 // table's sequence number around the probe instead, and take the lock
 // only after repeated conflicts with a writer. The candidate resolution
@@ -211,8 +214,9 @@ type Ring struct {
 	replicas int
 }
 
-// New builds a ring over the given servers. Server names must be
-// non-empty and distinct.
+// New builds a ring over the given servers, in one membership
+// transaction: the servers take slots in order, at capacity 1, and the
+// ring is built once. Server names must be non-empty and distinct.
 func New(servers []string, opts ...Option) (*Ring, error) {
 	cfg := config{d: 2, replicas: 1}
 	for _, opt := range opts {
@@ -225,10 +229,16 @@ func New(servers []string, opts ...Option) (*Ring, error) {
 		return nil, err
 	}
 	r := &Ring{Router: rt, m: m, replicas: cfg.replicas}
-	for _, s := range servers {
-		if err := r.AddServer(s); err != nil {
-			return nil, err
+	err = m.Update(journal.Entry{}, func(tx *router.Txn) (router.Topology, error) {
+		for _, s := range servers {
+			if _, err := tx.Add(s); err != nil {
+				return nil, err
+			}
 		}
+		return r.rebuild(tx), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }

@@ -2,6 +2,7 @@ package hashring
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +29,52 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(nil, WithReplicas(0)); err == nil {
 		t.Error("replicas=0 accepted")
+	}
+}
+
+// TestNewMatchesAddServer: New adds its servers in one membership
+// transaction, and the snapshot it publishes is the one as many
+// AddServer calls build — the same slots, capacities and ring points
+// and owners — with or without virtual points. A bad name anywhere in
+// the list still fails New.
+func TestNewMatchesAddServer(t *testing.T) {
+	names := serverNames(300)
+	for _, replicas := range []int{1, 3} {
+		got, err := New(names, WithReplicas(replicas))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(nil, WithReplicas(replicas))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if err := want.AddServer(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gs, ws := got.Snapshot(), want.Snapshot()
+		if !slices.Equal(gs.Names, ws.Names) || !slices.Equal(gs.Caps, ws.Caps) ||
+			!slices.Equal(gs.Dead, ws.Dead) || gs.Live != ws.Live || gs.CapSum != ws.CapSum {
+			t.Fatalf("replicas %d: New's slot tables differ from %d AddServer calls'", replicas, len(names))
+		}
+		for i, name := range names {
+			if s, ok := gs.Slot(name); !ok || s != int32(i) {
+				t.Fatalf("replicas %d: %q in slot %d, %v; want %d", replicas, name, s, ok, i)
+			}
+		}
+		gt, wt := gs.Topo.(*ringTopo), ws.Topo.(*ringTopo)
+		if !slices.Equal(gt.bits, wt.bits) || !slices.Equal(gt.owner, wt.owner) || gt.replicas != wt.replicas {
+			t.Fatalf("replicas %d: New's ring points or owners differ from AddServer's", replicas)
+		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bad := range [][]string{{"a", "b", "c", "b"}, {"a", "b", ""}} {
+		if _, err := New(bad); err == nil {
+			t.Errorf("New(%q) accepted", bad)
+		}
 	}
 }
 

@@ -278,7 +278,7 @@ func (r *Router) replayKey(e *journal.Entry) error {
 	ks.lock()
 	defer ks.unlock()
 	t := r.snap.Load()
-	old, placed := ks.getLocked(h0, e.Name)
+	old, placed, at := ks.getLocked(h0, e.Name)
 	switch {
 	case placed && e.Op == journal.OpPlace:
 		return fmt.Errorf("key %q placed twice", e.Name)
@@ -300,7 +300,7 @@ func (r *Router) replayKey(e *journal.Entry) error {
 		return nil
 	}
 	rec.addLoads(t, 1)
-	ks.put(h0, e.Name, rec)
+	ks.set(at, h0, e.Name, rec)
 	return nil
 }
 

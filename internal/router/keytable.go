@@ -3,33 +3,44 @@
 // h0 = Hash('k', 0, key) that Locate, LocateAny, Owners and LocateBatch
 // read without taking its lock and without writing shared memory.
 //
-// A table's records live in two word arrays, published together
-// through an atomic.Pointer (keyArrays):
+// A table's records live in word arrays, published together through an
+// atomic.Pointer (keyArrays):
 //
-//   - ents holds fixed-size entries of entryWords words: h0, a meta
+//   - the entries are fixed-size, entryWords words each: h0, a meta
 //     word (replica count, choice indices, key length), the replica
 //     slots, and the key bytes inline, little-endian and zero-padded.
 //     A key longer than inlineKey bytes keeps its bytes in the long
 //     map, which only a holder of the lock reads. A vacant entry has a
 //     zero meta word; vacated positions are reused before new ones.
+//     Entry position p lives in page p/pageEntries of dir, the page
+//     directory. A page never moves: growth appends one zeroed page to
+//     a copy of the directory, so a published directory is immutable
+//     and no entry is ever copied.
 //   - idx is a linear-probing index over the entries: a used word is
 //     tag<<32 | position+1 with tag = h0>>32, and its home position is
 //     the tag's low bits. Removal shifts the rest of the cluster back,
-//     so place/remove churn leaves no tombstones.
+//     so place/remove churn leaves no tombstones. The index doubles
+//     past 3/4 full, rebuilt from the entries.
 //
-// Neither array holds a Go pointer, every word of them that a lock-free
-// reader can touch is stored and loaded through sync/atomic, a probe
-// is bounded by the index length, and every entry position a reader
-// takes from idx is bounds-checked before use. A read racing a writer
-// is therefore memory-safe but may see a mix of states; the sequence
-// number rules those out. A writer keeps seq odd for its whole locked
-// section — the journal append and its rollback included, so no reader
-// sees a record before it is durable or after it is rolled back — and
-// a reader keeps its result only if seq was even and unchanged around
-// its probe. After readTries failed attempts the reader takes the lock
-// instead: a group-commit append can hold it across an fsync. Growth
-// builds new arrays and publishes them; a reader still probing the old
-// ones fails the sequence check.
+// Neither idx nor a page holds a Go pointer (the directory is a short
+// slice of page pointers), every word of them that a lock-free reader
+// can touch is stored and loaded through sync/atomic, a probe is
+// bounded by the index length, and every entry position a reader takes
+// from idx is bounds-checked against the directory before use. A read
+// racing a writer is therefore memory-safe but may see a mix of
+// states; the sequence number rules those out. A writer keeps seq odd
+// for its whole locked section — the journal append and its rollback
+// included, so no reader sees a record before it is durable or after
+// it is rolled back — and a reader keeps its result only if seq was
+// even and unchanged around its probe. After readTries failed attempts
+// the reader takes the lock instead: a group-commit append can hold it
+// across an fsync. Growth publishes a new keyArrays; a reader still
+// probing the old one fails the sequence check.
+//
+// A writer probes once per insert: a locked probe for an absent key
+// ends at the empty index position the key goes to (getLocked returns
+// it), and set fills it unless the growth that made room rebuilt the
+// index.
 package router
 
 import (
@@ -56,14 +67,23 @@ const (
 
 	// minIndex is a fresh table's index length.
 	minIndex = 8
+
+	// A page holds pageEntries entries, 32 KiB: a shard of a 2^16-key
+	// router (~1024 records) fills two or three, one of a 2^20-key
+	// router (~16384) 32 or 33.
+	pageShift   = 9
+	pageEntries = 1 << pageShift
 )
 
-// keyArrays is a table's published state. Writers store into the
-// arrays in place; one that replaces an array publishes a new
-// keyArrays.
+// page is a block of entries; it holds no Go pointer.
+type page [pageEntries][entryWords]uint64
+
+// keyArrays is a table's published state. Writers store into the index
+// and the pages in place; one that replaces the index or extends the
+// directory publishes a new keyArrays.
 type keyArrays struct {
-	idx  []uint64 // the probe index; the length is a power of two
-	ents []uint64 // the entries, entryWords words each
+	idx []uint64 // the probe index; the length is a power of two
+	dir []*page  // the entry pages, immutable once published
 }
 
 // keyTable is one key shard's record table (see the file comment).
@@ -176,7 +196,7 @@ func (pr packedRec) rec() keyRec {
 
 // entry returns entry p's words; p must be in range.
 func (a *keyArrays) entry(p int) *[entryWords]uint64 {
-	return (*[entryWords]uint64)(a.ents[p*entryWords:])
+	return &a.dir[p>>pageShift][p&(pageEntries-1)]
 }
 
 // find probes for the key under the lock: i is its index position and
@@ -186,34 +206,39 @@ func (t *keyTable) find(a *keyArrays, h0 uint64, key string) (i, p int) {
 	if len(key) > inlineKey {
 		return t.findLong(a, h0, key)
 	}
-	return a.probe(h0, key)
+	i, e := a.probe(h0, key)
+	if e == nil {
+		return i, -1
+	}
+	return i, int(uint32(a.idx[i])) - 1
 }
 
-// probe is find for a key of at most inlineKey bytes, and the probe
-// lock-free readers run: it only loads atomically, stops after
-// len(idx) positions, and checks every entry position it takes from
-// idx against ents.
-func (a *keyArrays) probe(h0 uint64, key string) (i, p int) {
-	idx, ents := a.idx, a.ents
+// probe looks up a key of at most inlineKey bytes for find and for the
+// lock-free readers: it returns the key's index position and entry, or
+// a nil entry and the empty index position that ended the probe. It
+// only loads atomically, stops after len(idx) positions, and checks
+// every entry position it takes from idx against dir.
+func (a *keyArrays) probe(h0 uint64, key string) (i int, e *[entryWords]uint64) {
+	idx, dir := a.idx, a.dir
 	mask := len(idx) - 1
 	tag, klen := h0>>32, uint64(len(key))
 	i = int(tag) & mask
 	for range len(idx) {
 		w := atomic.LoadUint64(&idx[i])
 		if w == 0 {
-			return i, -1
+			return i, nil
 		}
-		if p = int(uint32(w)) - 1; w>>32 == tag && uint(p) < uint(len(ents)/entryWords) {
-			e := (*[entryWords]uint64)(ents[p*entryWords:])
+		if p := int(uint32(w)) - 1; w>>32 == tag && uint(p>>pageShift) < uint(len(dir)) {
+			e = &dir[p>>pageShift][p&(pageEntries-1)]
 			if atomic.LoadUint64(&e[0]) == h0 && atomic.LoadUint64(&e[1])>>40 == klen && keyEq(e, key) {
-				return i, p
+				return i, e
 			}
 		}
 		i = (i + 1) & mask
 	}
 	// Only a probe racing a writer finds no empty position; its reader
 	// fails the sequence check.
-	return -1, -1
+	return -1, nil
 }
 
 // findLong is find for a key past inlineKey bytes. Caller holds the
@@ -229,9 +254,8 @@ func (t *keyTable) findLong(a *keyArrays, h0 uint64, key string) (i, p int) {
 	return i, -1
 }
 
-// rec returns entry p's record.
-func (a *keyArrays) rec(p int) packedRec {
-	e := a.entry(p)
+// entryRec returns entry e's record.
+func entryRec(e *[entryWords]uint64) packedRec {
 	return packedRec{atomic.LoadUint64(&e[1]), atomic.LoadUint64(&e[2]), atomic.LoadUint64(&e[3])}
 }
 
@@ -247,8 +271,8 @@ func (t *keyTable) get(h0 uint64, key string) packedRec {
 			}
 			a := t.arr.Load()
 			var pr packedRec
-			if _, p := a.probe(h0, key); p >= 0 {
-				pr = a.rec(p)
+			if _, e := a.probe(h0, key); e != nil {
+				pr = entryRec(e)
 			}
 			if t.seq.Load() == s {
 				return pr
@@ -259,33 +283,48 @@ func (t *keyTable) get(h0 uint64, key string) packedRec {
 	defer t.mu.Unlock()
 	a := t.arr.Load()
 	if _, p := t.find(a, h0, key); p >= 0 {
-		return a.rec(p)
+		return entryRec(a.entry(p))
 	}
 	return packedRec{}
 }
 
-// getLocked returns the key's record. Caller holds the lock.
-func (t *keyTable) getLocked(h0 uint64, key string) (keyRec, bool) {
+// getLocked returns the key's record and its index position at: the
+// key's own, or for an absent key the empty position its probe ended
+// at. Caller holds the lock.
+func (t *keyTable) getLocked(h0 uint64, key string) (rec keyRec, ok bool, at int) {
 	a := t.arr.Load()
-	if _, p := t.find(a, h0, key); p >= 0 {
-		return a.rec(p).rec(), true
+	at, p := t.find(a, h0, key)
+	if p < 0 {
+		return keyRec{}, false, at
 	}
-	return keyRec{}, false
+	return entryRec(a.entry(p)).rec(), true, at
 }
 
 // put stores the key's record, replacing the old one if present.
 // Caller holds the lock.
 func (t *keyTable) put(h0 uint64, key string, rec keyRec) {
+	_, _, at := t.getLocked(h0, key)
+	t.set(at, h0, key, rec)
+}
+
+// set stores the key's record at index position at, which getLocked
+// returned for the key with no change to the table since: over the
+// key's record if it has one, else in a new entry. Caller holds the
+// lock.
+func (t *keyTable) set(at int, h0 uint64, key string, rec keyRec) {
 	meta, s01, s23 := packRec(rec, key)
 	a := t.arr.Load()
-	if _, p := t.find(a, h0, key); p >= 0 {
-		e := a.entry(p)
+	if w := a.idx[at]; w != 0 {
+		e := a.entry(int(uint32(w)) - 1)
 		atomic.StoreUint64(&e[1], meta)
 		atomic.StoreUint64(&e[2], s01)
 		atomic.StoreUint64(&e[3], s23)
 		return
 	}
-	a = t.reserve()
+	a, rebuilt := t.reserve()
+	if rebuilt {
+		at = emptyFrom(a.idx, h0)
+	}
 	var p int
 	if n := len(t.free); n > 0 {
 		p, t.free = int(t.free[n-1]), t.free[:n-1]
@@ -307,7 +346,7 @@ func (t *keyTable) put(h0 uint64, key string, rec keyRec) {
 	for j := range 4 {
 		atomic.StoreUint64(&e[4+j], keyWord(key, j))
 	}
-	atomic.StoreUint64(&a.idx[emptyFrom(a.idx, h0)], h0>>32<<32|uint64(p+1))
+	atomic.StoreUint64(&a.idx[at], h0>>32<<32|uint64(p+1))
 	t.n.Store(t.n.Load() + 1)
 }
 
@@ -318,7 +357,7 @@ func (t *keyTable) del(h0 uint64, key string) (keyRec, bool) {
 	if p < 0 {
 		return keyRec{}, false
 	}
-	rec := a.rec(p).rec()
+	rec := entryRec(a.entry(p)).rec()
 	atomic.StoreUint64(&a.entry(p)[1], 0)
 	if len(key) > inlineKey {
 		delete(t.long, int32(p))
@@ -349,21 +388,21 @@ func emptyFrom(idx []uint64, h0 uint64) int {
 }
 
 // reserve makes room for one more record and returns the arrays to
-// write it to: a new index of twice the length once the index would
-// pass 3/4 full, and new entries 1.25 times as many once no position
-// is free. New arrays are filled before they are published. Caller
+// write it to, and whether their index is new: twice the length once
+// the index would pass 3/4 full, rebuilt from the entries. Once no
+// entry position is free it appends a zeroed page to a copy of the
+// directory. New arrays are filled before they are published. Caller
 // holds the lock.
-func (t *keyTable) reserve() *keyArrays {
+func (t *keyTable) reserve() (*keyArrays, bool) {
 	a := t.arr.Load()
 	growIdx := t.size()+1 > len(a.idx)/4*3
-	growEnts := len(t.free) == 0 && t.used == len(a.ents)/entryWords
-	if !growIdx && !growEnts {
-		return a
+	growDir := len(t.free) == 0 && t.used == len(a.dir)*pageEntries
+	if !growIdx && !growDir {
+		return a, false
 	}
-	b := &keyArrays{idx: a.idx, ents: a.ents}
-	if growEnts {
-		b.ents = make([]uint64, (t.used+t.used/4+4)*entryWords)
-		copy(b.ents, a.ents)
+	b := &keyArrays{idx: a.idx, dir: a.dir}
+	if growDir {
+		b.dir = append(a.dir[:len(a.dir):len(a.dir)], new(page))
 	}
 	if growIdx {
 		b.idx = make([]uint64, 2*len(a.idx))
@@ -374,7 +413,7 @@ func (t *keyTable) reserve() *keyArrays {
 		}
 	}
 	t.arr.Store(b)
-	return b
+	return b, growIdx
 }
 
 // each calls fn for every record, in entry order. Caller holds the

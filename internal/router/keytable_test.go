@@ -29,14 +29,15 @@ func (r *Router) records() map[string]keyRec {
 // only in their last byte and keys of different lengths share prefixes.
 const fuzzKeyBase = "0123456789abcdefghijklmnopqrstuvwxyzABCDEF"
 
-// fuzzKey maps a byte to one of 41 lengths (0 to 40, across the inline
-// limit) times six variants.
-func fuzzKey(b byte) string {
+// fuzzKey maps a key byte b and a set hi (0 to 31) to a key: b picks
+// one of 41 lengths (0 to 40, across the inline limit) and, with hi,
+// one of 224 last bytes, so one table can hold thousands of keys.
+func fuzzKey(b, hi byte) string {
 	n := int(b) % 41
 	if n == 0 {
 		return ""
 	}
-	return fuzzKeyBase[:n-1] + string(rune('P'+int(b)/41))
+	return fuzzKeyBase[:n-1] + string([]byte{byte('P' + int(b)/41 + 7*int(hi))})
 }
 
 // fuzzH0 maps a byte to an h0. The table reads only h0's upper half,
@@ -45,8 +46,9 @@ func fuzzKey(b byte) string {
 func fuzzH0(b byte) uint64 { return uint64(b) * 0x0101010101010101 }
 
 // FuzzKeyTable drives one key table with put/get/delete/iterate
-// against a map model. Each four-byte op is (op, key, h0, record); a
-// key's h0 is the one its first op supplied.
+// against a map model. Each four-byte op is (op, key, h0, record): the
+// op byte's low three bits pick the op and its high five the key's set
+// (see fuzzKey), and a key's h0 is the one its first op supplied.
 func FuzzKeyTable(f *testing.F) {
 	f.Add([]byte{0, 17, 3, 1, 0, 18, 3, 2, 2, 17, 0, 0, 1, 17, 0, 0, 2, 18, 0, 0})
 	f.Add([]byte{0, 40, 7, 9, 0, 33, 7, 8, 0, 32, 15, 7, 3, 0, 0, 0, 1, 33, 0, 0, 2, 40, 0, 0})
@@ -71,6 +73,9 @@ func FuzzKeyTable(f *testing.F) {
 			if len(got) != len(model) || tb.size() != len(model) {
 				t.Fatalf("op %d: each saw %d records, size %d, model %d", at, len(got), tb.size(), len(model))
 			}
+			if pages := len(tb.arr.Load().dir); pages != (tb.used+pageEntries-1)/pageEntries {
+				t.Fatalf("op %d: %d pages for %d entry positions", at, pages, tb.used)
+			}
 			for key, want := range model {
 				if got[key] != want {
 					t.Fatalf("op %d: each gives %q %+v, want %+v", at, key, got[key], want)
@@ -81,7 +86,7 @@ func FuzzKeyTable(f *testing.F) {
 			}
 		}
 		for at := 0; len(data) >= 4; at++ {
-			op, key, rb := data[0], fuzzKey(data[1]), data[3]
+			op, key, rb := data[0], fuzzKey(data[1], data[0]>>3), data[3]
 			h0, seen := h0s[key]
 			if !seen {
 				h0 = fuzzH0(data[2])
@@ -114,7 +119,7 @@ func FuzzKeyTable(f *testing.F) {
 					t.Fatalf("op %d: get(%q) = %+v, %v; want %+v, %v", at, key, pr.rec(), pr.ok(), want, had)
 				}
 				tb.lock()
-				rec, ok := tb.getLocked(h0, key)
+				rec, ok, _ := tb.getLocked(h0, key)
 				tb.unlock()
 				if ok != had || rec != want {
 					t.Fatalf("op %d: getLocked(%q) = %+v, %v; want %+v, %v", at, key, rec, ok, want, had)
@@ -147,6 +152,34 @@ func TestKeyWordsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKeyTablePages: a table bulk-loaded with k records holds exactly
+// ceil(k/pageEntries) entry pages, and growing it copies no entry: the
+// pages of the directory a reader loaded before the growth are the
+// first pages of the one after.
+func TestKeyTablePages(t *testing.T) {
+	for _, k := range []int{0, 1, pageEntries - 1, pageEntries, pageEntries + 1, 3*pageEntries + 5} {
+		var tb keyTable
+		tb.arr.Store(newKeyArrays())
+		var before []*page
+		tb.lock()
+		for i := range k {
+			if i == k/2 {
+				before = tb.arr.Load().dir
+			}
+			key := fmt.Sprintf("key-%d", i)
+			tb.put(Hash('k', 0, key), key, keyRec{n: 1, slots: [MaxReplicas]int32{int32(i)}})
+		}
+		tb.unlock()
+		dir := tb.arr.Load().dir
+		if want := (k + pageEntries - 1) / pageEntries; len(dir) != want || tb.size() != k {
+			t.Errorf("%d records: %d pages and size %d, want %d pages", k, len(dir), tb.size(), want)
+		}
+		if !slices.Equal(dir[:len(before)], before) {
+			t.Errorf("%d records: growth moved a page", k)
+		}
+	}
+}
+
 // shardKeys returns n keys with the given prefix that all land in key
 // table 0.
 func shardKeys(prefix string, n int) []string {
@@ -161,16 +194,19 @@ func shardKeys(prefix string, n int) []string {
 
 // TestKeyTableConcurrentReaders: readers spin Locate, LocateAny and
 // Owners on one table's keys while writers churn other keys of the same
-// table, first through the table's growth and then by swapping each key
-// out for another, which takes over its entry. With as many replicas as
-// distinct candidates, a key's owner set depends on the key alone, so
-// every read must return that set and primaries from it: stable keys
-// are never missing, and no read returns another key's record.
+// table, first through the table's growth, across two page boundaries,
+// and then by swapping each key out for another, which takes over its
+// entry. With as many replicas as distinct candidates, a key's owner
+// set depends on the key alone, so every read must return that set and
+// primaries from it: stable keys are never missing, and no read returns
+// another key's record.
 func TestKeyTableConcurrentReaders(t *testing.T) {
 	const writers, readers = 2, 2
-	churn := 1000 // keys per writer and side; table 0 then holds ~2000
+	// Keys per writer and side: table 0 then holds len(stable) +
+	// writers*churn records, on at least three pages.
+	churn := 2 * pageEntries
 	if testing.Short() || raceEnabled {
-		churn = 300
+		churn = pageEntries + pageEntries/8
 	}
 	for round := 0; round < 3; round++ {
 		g := newTestGeo(t, 128, 2, 3, uint64(40+round))
@@ -279,6 +315,9 @@ func TestKeyTableConcurrentReaders(t *testing.T) {
 		}
 		if want := len(stable) + writers*churn; g.NumKeys() != want {
 			t.Fatalf("round %d: %d keys after churn, want %d", round, g.NumKeys(), want)
+		}
+		if pages := len(g.keys[0].arr.Load().dir); pages < 3 {
+			t.Fatalf("round %d: table 0 has %d pages, want at least 3", round, pages)
 		}
 	}
 }

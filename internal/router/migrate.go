@@ -159,7 +159,7 @@ func (p *MigrationPlan) ApplyBatch(max int) (applied, skipped int) {
 		h0 := Hash('k', 0, op.key)
 		ks := r.keyShardFor(h0)
 		ks.lock()
-		cur, ok := ks.getLocked(h0, op.key)
+		cur, ok, _ := ks.getLocked(h0, op.key)
 		legal := ok && cur == op.old
 		if legal && !sameSnap {
 			_, _, err := t.check(op.key, h0, op.new, nil, &cb)

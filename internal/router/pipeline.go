@@ -167,7 +167,8 @@ func (r *Router) begin(t *Snapshot, placing bool) commit {
 // refused here, before the key is charged, so it fails only its own key
 // and never the journal unit of a batch.
 func (c *commit) place(ks *keyTable, key string, h0 uint64, cands []int32) (keyRec, error) {
-	if _, dup := ks.getLocked(h0, key); dup {
+	_, dup, at := ks.getLocked(h0, key)
+	if dup {
 		return keyRec{}, fmt.Errorf("%s: key %q already placed", c.r.name, key)
 	}
 	rec, skipped, overshoot := c.t.choose(cands, nil, true)
@@ -183,7 +184,7 @@ func (c *commit) place(ks *keyTable, key string, h0 uint64, cands []int32) (keyR
 		return rec, &OverloadedError{Router: c.r.name, Key: key, RetryAfter: retryAfter(overshoot)}
 	}
 	rec.addLoads(c.t, 1)
-	ks.put(h0, key, rec)
+	ks.set(at, h0, key, rec)
 	c.keys++
 	return rec, nil
 }

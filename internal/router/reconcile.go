@@ -127,7 +127,7 @@ func (r *Router) reconcile(t *Snapshot, loads []int64, fix func(k *stray) bool) 
 			ok  bool
 			err error
 		)
-		if k.rec, ok = k.ks.getLocked(k.h0, key); ok { // gone if removed while we walked
+		if k.rec, ok, _ = k.ks.getLocked(k.h0, key); ok { // gone if removed while we walked
 			k.cands, k.full, err = t.check(key, k.h0, k.rec, loads, &cb)
 		}
 		more := !ok || err == nil || fix(&k)

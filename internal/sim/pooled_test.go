@@ -5,6 +5,7 @@ import (
 
 	"geobalance/internal/core"
 	"geobalance/internal/rng"
+	"geobalance/internal/torus"
 )
 
 // TestPooledMatchesAllocating: the pooled trial families must report
@@ -93,5 +94,56 @@ func TestPooledTrialZeroAllocs(t *testing.T) {
 				t.Fatalf("pooled trial allocated %v times per run", allocs)
 			}
 		})
+	}
+}
+
+// scalarTorusTrial is TorusTrial with every ball placed by
+// Allocator.Place, whose candidates resolve through torus Nearest one
+// at a time rather than through the NearestBatch kernels of PlaceN.
+func scalarTorusTrial(n, m, d, dim int) TrialFunc {
+	return func(r *rng.Rand) (int, error) {
+		sp, err := torus.NewRandom(n, dim, r)
+		if err != nil {
+			return 0, err
+		}
+		a, err := core.New(sp, core.Config{D: d})
+		if err != nil {
+			return 0, err
+		}
+		for range m {
+			a.Place(r)
+		}
+		return a.MaxLoad(), nil
+	}
+}
+
+// TestTorusTrialsMatchScalarPlace: TorusTrial and TorusTrialPooled share
+// the batch kernels, so comparing them cannot see a kernel fault; a
+// trial that places the same balls through the scalar kernel can. Each
+// seed's max load must agree all three ways, in dims 2 and 3.
+func TestTorusTrialsMatchScalarPlace(t *testing.T) {
+	const n, seeds = 1 << 12, 4
+	for _, dim := range []int{2, 3} {
+		trials := []TrialFunc{
+			TorusTrial(n, n, 2, dim, core.TieRandom),
+			TorusTrialPooled(n, n, 2, dim, core.TieRandom)(), // Reseeds after its first trial
+			scalarTorusTrial(n, n, 2, dim),
+		}
+		for seed := range uint64(seeds) {
+			var got [3]int
+			for k, trial := range trials {
+				var r rng.Rand
+				r.SeedStream(seed, 0)
+				v, err := trial(&r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[k] = v
+			}
+			if got[0] != got[2] || got[1] != got[2] {
+				t.Errorf("dim %d seed %d: max load %d (TorusTrial), %d (pooled), %d (scalar Place)",
+					dim, seed, got[0], got[1], got[2])
+			}
+		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 // fixed-point fractions, which lets the fuzzer hit duplicate
 // coordinates, exact cell boundaries, and tiny or degenerate grids
 // directly. Comparison follows the kernel contract: distances must
-// agree exactly; winning indices may differ only at exact distance
-// ties.
+// agree exactly, and so must the winning indices, since NearestBrute
+// and every kernel keep the lowest public index on an exact tie.
 func FuzzNearest(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{2, 255, 255, 0, 0, 128, 0, 0, 128, 7, 7, 7, 7, 9, 9, 200, 1, 3, 3})
@@ -38,6 +38,19 @@ func FuzzNearest(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// A dim-1 tie across cells: 256 sites put the grid at 256 cells of
+	// 256 units, and the one query, at the middle of cell 100, is
+	// exactly 256 units from site 0 (cell 101) and site 1 (cell 99).
+	// The walk scans cell 99 first, so only the lowest-index rule
+	// returns site 0. The other sites sit past coordinate 40000.
+	tie := []byte{0}
+	for _, c := range []int{100*256 + 128 + 256, 100*256 + 128 - 256} {
+		tie = binary.LittleEndian.AppendUint16(tie, uint16(c))
+	}
+	for i := range 254 {
+		tie = binary.LittleEndian.AppendUint16(tie, uint16(40000+100*i))
+	}
+	f.Add(binary.LittleEndian.AppendUint16(tie, 100*256+128))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -85,9 +98,9 @@ func FuzzNearest(f *testing.F) {
 				t.Fatalf("dim %d n %d query %v: Nearest (%d, %v) vs brute (%d, %v)",
 					dim, n, p, gi, gd, bi, bd)
 			}
-			if gi != bi && gd != geom.TorusDist2(p, sp.Site(bi)) {
-				t.Fatalf("dim %d query %v: winner %d differs from brute %d without a tie",
-					dim, p, gi, bi)
+			if gi != bi {
+				t.Fatalf("dim %d query %v: winner %d differs from brute %d at distance %v",
+					dim, p, gi, bi, bd)
 			}
 			si, sd := sp.NearestShared(p)
 			if si != gi || sd != gd {
